@@ -95,6 +95,27 @@ def _seed(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _read_hypergraph(path: str):
+    """The decoded .hg3 file at path, or None after reporting on stderr why
+    it cannot be read."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        print(f"cannot read {path}: {exc.strerror}", file=sys.stderr)
+        return None
+    return decode(text)
+
+
 def _int_range(minimum: int):
     def parse(text: str) -> tuple[int, int]:
         lo, sep, hi = text.partition("..")
@@ -150,10 +171,14 @@ def cmd_construct(args) -> int:
     payload = {"manifest": manifest, "report": report.to_json_dict()}
     if args.out is not None:
         text = encode(h, vmap)
-        Path(args.out).write_text(text)
         body = json.dumps(payload, indent=2 if args.pretty else None,
                           separators=None if args.pretty else (",", ":"))
-        report_path.write_text(body + "\n")
+        try:
+            Path(args.out).write_text(text)
+            report_path.write_text(body + "\n")
+        except OSError as exc:
+            print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     _print_json(payload, args.pretty)
     return EXIT_OK
 
@@ -169,8 +194,9 @@ def _linear_witness(h):
 
 
 def cmd_verify(args) -> int:
-    text = Path(args.infile).read_text()
-    h = decode(text)
+    h = _read_hypergraph(args.infile)
+    if h is None:
+        return EXIT_USAGE
     requested = args.checks.split(",") if args.checks else list(CHECK_NAMES)
     for name in requested:
         if name not in CHECK_NAMES:
@@ -334,8 +360,9 @@ def cmd_pascal(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    text = Path(args.infile).read_text()
-    h = decode(text)
+    h = _read_hypergraph(args.infile)
+    if h is None:
+        return EXIT_USAGE
     if args.find == "grid":
         witness = find_grid(h)
     elif args.find == "prism":
@@ -398,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pas = sub.add_parser("pascal", help="random hexagon collinearity audit")
     p_pas.add_argument("--p", type=_prime_at_least(7), required=True)
-    p_pas.add_argument("--samples", type=int, default=1000)
+    p_pas.add_argument("--samples", type=_positive_int, default=1000)
     p_pas.add_argument("--seed", type=_seed, default=0)
     p_pas.add_argument("--pretty", action="store_true")
     p_pas.set_defaults(func=cmd_pascal)
@@ -421,9 +448,6 @@ def main(argv=None) -> int:
         code = args.func(args)
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidPrimeError as exc:
         print(str(exc), file=sys.stderr)

@@ -97,6 +97,96 @@ def grid_all_six_subsets(h: Hypergraph3):
     return best
 
 
+def grid_row_triple_scan(h: Hypergraph3):
+    """Grid search by scanning every pairwise disjoint row triple, then every
+    column triple among the edges inside it (about m^4); returns the
+    lexicographically least (rows, cols) pair or None."""
+    m = len(h.edges)
+    masks = [_edge_mask(e) for e in h.edges]
+    for i in range(m - 2):
+        mi = masks[i]
+        for j in range(i + 1, m - 1):
+            mj = masks[j]
+            if mi & mj:
+                continue
+            mij = mi | mj
+            for k in range(j + 1, m):
+                mk = masks[k]
+                if mij & mk:
+                    continue
+                union = mij | mk
+                cols = _grid_cols(masks, (mi, mj, mk), union)
+                if cols is not None:
+                    return ((i, j, k), cols)
+    return None
+
+
+def _grid_cols(masks, row_masks, union):
+    cand = [
+        e
+        for e, me in enumerate(masks)
+        if me | union == union
+        and all((me & r).bit_count() == 1 for r in row_masks)
+    ]
+    for c1, c2, c3 in itertools.combinations(cand, 3):
+        m1, m2, m3 = masks[c1], masks[c2], masks[c3]
+        if m1 & m2 or (m1 | m2) & m3:
+            continue
+        return (c1, c2, c3)
+    return None
+
+
+def prism_by_embedding(h: Hypergraph3) -> tuple[int, ...] | None:
+    """All-embeddings backtracking matcher for the prism; returns the minimal
+    sorted edge-index tuple over every injective label-to-vertex embedding.
+    PRISM_CANON lists the prism in search order: after the first edge every
+    later one shares a label with what is already placed."""
+    template = PRISM_CANON
+    m = len(h.edges)
+    incident: dict[int, set[int]] = {}
+    for ei, e in enumerate(h.edges):
+        for v in e:
+            incident.setdefault(v, set()).add(ei)
+    n_labels = 1 + max(l for t in template for l in t)
+    assign: list[int | None] = [None] * n_labels
+    used_v: set[int] = set()
+    used_e: set[int] = set()
+    best: list[tuple[int, ...] | None] = [None]
+
+    def place(slot: int) -> None:
+        if slot == len(template):
+            key = tuple(sorted(used_e))
+            if best[0] is None or key < best[0]:
+                best[0] = key
+            return
+        labels = template[slot]
+        bound = [assign[l] for l in labels if assign[l] is not None]
+        free = [l for l in labels if assign[l] is None]
+        if bound:
+            cand = set.intersection(*(incident.get(v, set()) for v in bound))
+        else:
+            cand = set(range(m))
+        for ei in sorted(cand - used_e):
+            rest = [v for v in h.edges[ei] if v not in bound]
+            if len(rest) != len(free):
+                continue
+            for perm in itertools.permutations(rest):
+                if any(v in used_v for v in perm):
+                    continue
+                for l, v in zip(free, perm):
+                    assign[l] = v
+                    used_v.add(v)
+                used_e.add(ei)
+                place(slot + 1)
+                used_e.discard(ei)
+                for l in free:
+                    used_v.discard(assign[l])
+                    assign[l] = None
+
+    place(0)
+    return best[0]
+
+
 def random_hypergraph(rng: random.Random, n: int, m: int) -> Hypergraph3:
     """Uniform distinct triples; linearity not guaranteed."""
     m = min(m, n * (n - 1) * (n - 2) // 6)

@@ -165,6 +165,7 @@ USAGE_ERRORS = [
     ("verify", "--in", "nosuch.hg3"),
     ("detect", "--in", "nosuch.hg3", "--find", "grid"),
     ("nonsense",),
+    ("pascal", "--p", "13", "--samples", "-5"),
 ]
 
 
@@ -183,6 +184,28 @@ def test_unknown_check_and_bad_max_vertices(tmp_path):
     proc = run(("detect", "--in", "base7.hg3", "--find", "core",
                 "--max-vertices", "3"), tmp_path)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--in", "adir"),
+    ("detect", "--in", "adir", "--find", "grid"),
+])
+def test_directory_input_cannot_be_read(args, tmp_path):
+    (tmp_path / "adir").mkdir()
+    proc = run(args, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("cannot read adir"), proc.stderr
+    assert_clean_stderr(proc)
+
+
+def test_failed_out_write_is_not_a_read_error(tmp_path):
+    proc = run(("construct", "base", "--p", "5", "--out", "nodir/base5.hg3"), tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("cannot write nodir/base5.hg3"), proc.stderr
+    assert_clean_stderr(proc)
 
 
 def test_truncated_file_is_a_parse_error(tmp_path):

@@ -81,6 +81,40 @@ def test_grid_agrees_with_subset_oracle():
             got.validate(h)
 
 
+def _differential_instances():
+    for i in range(40):
+        rng = random.Random(7000 + i)
+        yield oracles.random_linear_hypergraph(rng, rng.randint(9, 24), rng.randint(6, 40))
+        yield oracles.random_hypergraph(rng, rng.randint(9, 14), rng.randint(6, 28))
+        yield oracles.plant_grid(rng, n_extra=rng.randint(0, 12), m_extra=rng.randint(0, 20))
+        yield oracles.plant_prism(rng, n_extra=rng.randint(0, 12), m_extra=rng.randint(0, 20))
+    for build in (build_base, build_qr):
+        yield build(17)[0]
+
+
+def test_grid_and_prism_agree_with_slow_oracles():
+    kinds = {"grid": 0, "prism": 0}
+    for i, h in enumerate(_differential_instances()):
+        got = find_grid(h)
+        assert (None if got is None else (got.rows, got.cols)) == \
+            oracles.grid_row_triple_scan(h), i
+        if got is not None:
+            got.validate(h)
+            kinds["grid"] += 1
+        pr = find_prism(h)
+        assert (None if pr is None else pr.edges) == oracles.prism_by_embedding(h), i
+        if pr is not None:
+            pr.validate(h, 9)
+            kinds["prism"] += 1
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_constructions_are_grid_free_at_p_29_and_31():
+    for p in (29, 31):
+        for build in (build_base, build_qr):
+            assert find_grid(build(p)[0]) is None, (build.__name__, p)
+
+
 def test_planted_grids_are_found():
     for i in range(50):
         rng = random.Random(3000 + i)
