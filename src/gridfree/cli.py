@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -109,11 +110,28 @@ def _read_hypergraph(path: str):
     """The decoded .hg3 file at path, or None after reporting on stderr why
     it cannot be read."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"cannot read {path}: {exc.strerror}", file=sys.stderr)
         return None
+    except UnicodeDecodeError:
+        print(f"cannot read {path}: not UTF-8 text", file=sys.stderr)
+        return None
     return decode(text)
+
+
+def _write_replacing(path: Path, text: str) -> None:
+    """Write text to path through a temporary file beside it and a rename,
+    so a write that fails never leaves path half-written."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _int_range(minimum: int):
@@ -140,6 +158,10 @@ def cmd_construct(args) -> int:
             return EXIT_USAGE
     elif args.rho is not None or args.seed is not None:
         print(f"construct {args.kind} takes no --rho/--seed", file=sys.stderr)
+        return EXIT_USAGE
+    if args.out is not None and args.out.endswith(".report.json"):
+        print(f"--out {args.out}: names ending in .report.json are kept for the report",
+              file=sys.stderr)
         return EXIT_USAGE
 
     if args.kind == "base":
@@ -173,12 +195,12 @@ def cmd_construct(args) -> int:
         text = encode(h, vmap)
         body = json.dumps(payload, indent=2 if args.pretty else None,
                           separators=None if args.pretty else (",", ":"))
-        try:
-            Path(args.out).write_text(text)
-            report_path.write_text(body + "\n")
-        except OSError as exc:
-            print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-            return EXIT_USAGE
+        for path, content in ((out_path, text), (report_path, body + "\n")):
+            try:
+                _write_replacing(path, content)
+            except OSError as exc:
+                print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
+                return EXIT_USAGE
     _print_json(payload, args.pretty)
     return EXIT_OK
 

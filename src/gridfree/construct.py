@@ -13,18 +13,26 @@ V1 = {(x, x^2)} and V2 = {(x, x^2 + 1)}:
   point there.
 
 The third point, when two candidates exist, is always the one with the
-smaller x coordinate.  Builders run on per-prime character/root lookup
-tables for speed; the geometry module recomputes the same incidences
-object-by-object and the tests cross-check the two routes.
+smaller x coordinate.  The secant through the points with parameters a and
+a + d has discriminant d^2 -+ 4, which depends on d alone, so all three
+builders filter one table keyed on d: for each d with a square
+discriminant, the offsets that put its candidate third points at a + o
+(mod p).  That takes p character/root lookups instead of p^2/2.  The
+builders emit edges in canonical order and construct the hypergraph
+directly.  The geometry module recomputes the same incidences
+object-by-object, tests/oracles.py keeps the pair-by-pair loops, and the
+tests cross-check all three routes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .ffield import InvalidPrimeError, Prime, chi_table, min_sqrt_table
+from .ffield import InvalidPrimeError, Prime, chi_table, legendre, min_sqrt_table
 from .geometry import AffinePoint
 from .hypergraph import Hypergraph3, VertexInfo, VertexMap
 from .rng import bernoulli_threshold, splitmix64_stream
@@ -147,6 +155,61 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
+def _secant_offsets(pv: int, shift: int) -> list[tuple[int, int, int]]:
+    """The sweep table every builder filters: (d, lo, hi) for each d in
+    1..p-1 with chi(d^2 + shift) >= 0, ascending in d.
+
+    The secant through the points with parameters a and b = a + d on one
+    parabola meets the other where x^2 - (a + b)x + ab - shift/4 = 0.  Its
+    discriminant (a - b)^2 + shift depends on d alone, and its roots are
+    a + lo and a + hi (mod p) with lo = (d - r)/2, hi = (d + r)/2 for the
+    least square root r (lo == hi when the secant is tangent).  shift is -4
+    for secants of V1 meeting V2 and +4 for secants of V2 meeting V1.
+    """
+    chi = chi_table(pv)
+    root = min_sqrt_table(pv)
+    inv2 = (pv + 1) // 2
+    table = []
+    for d in range(1, pv):
+        disc = (d * d + shift) % pv
+        if chi[disc] >= 0:
+            r = root[disc]
+            table.append((d, (d - r) * inv2 % pv, (d + r) * inv2 % pv))
+    return table
+
+
+def _sweep(
+    pv: int, shift: int, pool: Sequence[int], first_id: int
+) -> tuple[list[tuple[int, int, int]], int]:
+    """Every pair a < b of parameters whose secant (see _secant_offsets)
+    meets the other parabola inside the pool, as (a, b, w) in ascending
+    (a, b) order, plus the number of pairs with two candidates in the pool.
+
+    pool lists the kept x coordinates ascending; the point with x = pool[k]
+    is vertex first_id + k, so the smaller-x candidate is the smaller id w.
+    """
+    out = first_id + len(pool)  # above every pool id: x is not in the pool
+    ids = [out] * pv
+    for rank, x in enumerate(pool):
+        ids[x] = first_id + rank
+    ids += ids  # ids[a + lo] for a + lo < 2p, without reducing mod p
+    table = _secant_offsets(pv, shift)
+    ds = [d for d, _, _ in table]
+    triples = []
+    two_point = 0
+    for a in range(pv):
+        for d, lo, hi in table[: bisect_left(ds, pv - a)]:
+            u = ids[a + lo]
+            v = ids[a + hi]
+            if v < u:
+                u, v = v, u
+            if u < out:
+                triples.append((a, a + d, u))
+                if u < v < out:
+                    two_point += 1
+    return triples, two_point
+
+
 def build_base(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
     """Full construction on V1 union V2 (ids 0..p-1 then p..2p-1, by x).
 
@@ -156,33 +219,15 @@ def build_base(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionRepo
     """
     prime = _as_prime(p)
     pv = prime.value
-    chi = chi_table(pv)
-    root = min_sqrt_table(pv)
-    inv2 = pow(2, -1, pv)
-    edges = []
-    two_point = 0
-    for a in range(pv):
-        for b in range(a + 1, pv):
-            disc = ((a - b) * (a - b) - 4) % pv
-            sign = chi[disc]
-            if sign < 0:
-                continue
-            s = a + b
-            if sign == 0:
-                w = s * inv2 % pv
-            else:
-                two_point += 1
-                r = root[disc]
-                w = min((s + r) * inv2 % pv, (s - r) * inv2 % pv)
-            edges.append((a, b, pv + w))
-    h = Hypergraph3.from_edges(2 * pv, edges)
+    edges, two_point = _sweep(pv, -4, range(pv), pv)
+    h = Hypergraph3(2 * pv, edges)
     vmap = VertexMap(
         tuple(
             [_parabola_info("V1", prime, x, 0) for x in range(pv)]
             + [_parabola_info("V2", prime, x, 1) for x in range(pv)]
         )
     )
-    chi_m1 = chi[pv - 1]
+    chi_m1 = legendre(prime(-1))
     report = ConstructionReport(
         p=pv,
         kind="base",
@@ -201,15 +246,8 @@ def build_base(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionRepo
 def count_two_point_secants(p: Prime | int) -> int:
     """Number of V1 secants meeting V2 in two points: the pairs with
     chi((a-b)^2 - 4) = +1, expected p(p - chi(-1) - 4)/4."""
-    prime = _as_prime(p)
-    pv = prime.value
-    chi = chi_table(pv)
-    return sum(
-        1
-        for a in range(pv)
-        for b in range(a + 1, pv)
-        if chi[((a - b) * (a - b) - 4) % pv] == 1
-    )
+    pv = _as_prime(p).value
+    return sum(pv - d for d, lo, hi in _secant_offsets(pv, -4) if lo != hi)
 
 
 def build_random(
@@ -225,36 +263,8 @@ def build_random(
     prime = _as_prime(p)
     pv = prime.value
     selected = select_subset(prime, rho_num, rho_den, seed)
-    in_pool = [False] * pv
-    pool_id = {}
-    for rank, x in enumerate(selected):
-        in_pool[x] = True
-        pool_id[x] = pv + rank
-
-    chi = chi_table(pv)
-    root = min_sqrt_table(pv)
-    inv2 = pow(2, -1, pv)
-    edges = []
-    two_point = 0
-    for a in range(pv):
-        for b in range(a + 1, pv):
-            disc = ((a - b) * (a - b) - 4) % pv
-            sign = chi[disc]
-            if sign < 0:
-                continue
-            s = a + b
-            if sign == 0:
-                cands = (s * inv2 % pv,)
-            else:
-                r = root[disc]
-                cands = ((s + r) * inv2 % pv, (s - r) * inv2 % pv)
-            kept = [x for x in cands if in_pool[x]]
-            if len(kept) == 2:
-                two_point += 1
-            if not kept:
-                continue
-            edges.append((a, b, pool_id[min(kept)]))
-    h = Hypergraph3.from_edges(pv + len(selected), edges)
+    edges, two_point = _sweep(pv, -4, selected, pv)
+    h = Hypergraph3(pv + len(selected), edges)
     vmap = VertexMap(
         tuple(
             [_parabola_info("V1", prime, x, 0) for x in range(pv)]
@@ -267,7 +277,7 @@ def build_random(
         n=h.n,
         m=h.m,
         density=Fraction(h.m, h.n * h.n),
-        chi_minus_1=chi[pv - 1],
+        chi_minus_1=legendre(prime(-1)),
         predicted_m=None,
         two_point_secants=two_point,
         selection_size=len(selected),
@@ -285,38 +295,14 @@ def build_qr(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionReport
     prime = _as_prime(p)
     pv = prime.value
     squares = sorted({x * x % pv for x in range(pv)})
-    s_id = {x: i for i, x in enumerate(squares)}
     s_size = len(squares)
-    is_square = [False] * pv
-    for x in squares:
-        is_square[x] = True
-
-    chi = chi_table(pv)
-    root = min_sqrt_table(pv)
-    inv2 = pow(2, -1, pv)
-    edges = []
-    two_point = 0
-    # Secant of V2 through parameters {a, b} meets V1 where
-    # x^2 - (a+b)x + (ab - 1) = 0, discriminant (a-b)^2 + 4.
-    for a in range(pv):
-        for b in range(a + 1, pv):
-            disc = ((a - b) * (a - b) + 4) % pv
-            sign = chi[disc]
-            if sign < 0:
-                continue
-            s = a + b
-            if sign == 0:
-                cands = (s * inv2 % pv,)
-            else:
-                r = root[disc]
-                cands = ((s + r) * inv2 % pv, (s - r) * inv2 % pv)
-            kept = [x for x in cands if is_square[x]]
-            if len(kept) == 2:
-                two_point += 1
-            if not kept:
-                continue
-            edges.append((s_id[min(kept)], s_size + a, s_size + b))
-    h = Hypergraph3.from_edges(s_size + pv, edges)
+    triples, two_point = _sweep(pv, 4, squares, 0)
+    # The S vertex is each edge's least id: one bucket per S vertex, each
+    # filled in ascending (a, b) order, concatenates to the canonical order.
+    buckets = [[] for _ in range(s_size)]
+    for a, b, w in triples:
+        buckets[w].append((w, s_size + a, s_size + b))
+    h = Hypergraph3(s_size + pv, [e for bucket in buckets for e in bucket])
     vmap = VertexMap(
         tuple(
             [_parabola_info("S-of-V1", prime, x, 0) for x in squares]
@@ -329,7 +315,7 @@ def build_qr(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionReport
         n=h.n,
         m=h.m,
         density=Fraction(h.m, h.n * h.n),
-        chi_minus_1=chi[pv - 1],
+        chi_minus_1=legendre(prime(-1)),
         predicted_m=None,
         two_point_secants=two_point,
         selection_size=s_size,

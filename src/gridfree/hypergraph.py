@@ -9,14 +9,21 @@ lexicographically with no duplicates, and isolated vertices are first-class
     n m
     a b c        (m lines, each ascending, list sorted, trailing newline)
 
+The constructor checks all of this in one pass over the edges and walks
+them edge by edge only to name the first offender.  decode hands an edge
+body in encode's exact form to that one check after a bulk parse; any
+other body is read line by line, so errors carry its line numbers.
 Linearity (every vertex pair in at most one edge) is checked in O(m) via
 pair occupancy.  Densities are exact rationals.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import lt
 
 from .ffield import FieldElement, Prime
 from .geometry import AffinePoint
@@ -55,11 +62,25 @@ class Hypergraph3:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"vertex count must be a non-negative int, got {self.n!r}")
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        n = self.n
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
+        edges = tuple(map(tuple, self.edges))
+        object.__setattr__(self, "edges", edges)
+        try:
+            canonical = all(0 <= a < b < c < n for a, b, c in edges) and all(
+                map(lt, edges, islice(edges, 1, None))
+            )
+        except (TypeError, ValueError):
+            canonical = False
+        if not canonical:
+            self._reject(edges)
+
+    def _reject(self, edges) -> None:
+        """Raise the ValueError naming the first edge that is not a triple,
+        not strictly ascending, out of range, or not above its predecessor."""
         prev = None
-        for e in self.edges:
+        for e in edges:
             if len(e) != 3:
                 raise ValueError(f"edge {e!r} is not a triple")
             a, b, c = e
@@ -91,13 +112,14 @@ class Hypergraph3:
 
 def is_linear(h: Hypergraph3) -> bool:
     """True when every vertex pair lies in at most one edge (O(m))."""
-    seen = set()
-    for a, b, c in h.edges:
-        for pair in ((a, b), (a, c), (b, c)):
-            if pair in seen:
-                return False
-            seen.add(pair)
-    return True
+    n = h.n
+    edges = h.edges
+    # a*n + b codes the pair {a, b}; an edge's three pairs are distinct, so
+    # the codes are all distinct exactly when no pair repeats across edges.
+    codes = {a * n + b for a, b, _ in edges}
+    codes.update([a * n + c for a, _, c in edges])
+    codes.update([b * n + c for _, b, c in edges])
+    return len(codes) == 3 * len(edges)
 
 
 def density(h: Hypergraph3) -> Fraction:
@@ -207,10 +229,73 @@ def decode_with_provenance(text: str) -> tuple[Hypergraph3, VertexMap | None]:
     return _parse(text, want_provenance=True)
 
 
+# An edge body exactly as encode writes it: single spaces, no signs, no
+# other whitespace, one trailing newline per line.
+_CANONICAL_BODY = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
+
+
+def _canonical_body(text: str, start: int, n: int, m: int) -> Hypergraph3 | None:
+    """The hypergraph of an edge body (text from offset start on) of m lines
+    in encode's form that passes the constructor's checks, parsed in bulk;
+    None for any other body, which the line loop then parses or locates."""
+    if text.count("\n", start) != m or not _CANONICAL_BODY.fullmatch(text, start):
+        return None
+    tokens = text[start:].split()
+    value = {t: int(t) for t in set(tokens)}  # each distinct id parsed once
+    ids = map(value.__getitem__, tokens)
+    try:
+        return Hypergraph3(n, tuple(zip(ids, ids, ids)))
+    except ValueError:
+        return None
+
+
+def _edge_lines(raw: list[str], idx: int, n: int, m: int) -> tuple[tuple[int, int, int], ...]:
+    """The m edges on the lines from idx on, checked line by line; raises
+    FormatError with the number of the first offending line."""
+    edges: list[tuple[int, int, int]] = []
+    prev: tuple[int, int, int] | None = None
+    for k in range(m):
+        if idx >= len(raw):
+            raise FormatError(f"expected {m} edges, found {k}", len(raw) + 1)
+        lineno = idx + 1
+        line = raw[idx]
+        idx += 1
+        if line.startswith("#"):
+            raise FormatError("comments are only allowed before the header", lineno)
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise FormatError(f"edge line needs three vertex ids, got {len(tokens)}", lineno)
+        a, b, c = (_parse_int(t, "vertex id", lineno) for t in tokens)
+        if not (a < b < c):
+            if len({a, b, c}) != 3:
+                raise FormatError(f"repeated vertex in edge {line!r}", lineno)
+            raise FormatError(f"edge {line!r} not in ascending order", lineno)
+        if a < 0 or c >= n:
+            raise FormatError(f"vertex id out of range in {line!r}", lineno)
+        e = (a, b, c)
+        if prev is not None and e <= prev:
+            if e == prev:
+                raise FormatError(f"duplicate edge {line!r}", lineno)
+            raise FormatError(f"edge {line!r} out of lexicographic order", lineno)
+        edges.append(e)
+        prev = e
+    if idx != len(raw):
+        raise FormatError("unexpected content after the edge list", idx + 1)
+
+    return tuple(edges)
+
+
 def _parse(text: str, want_provenance: bool) -> tuple[Hypergraph3, VertexMap | None]:
     if not text.endswith("\n"):
         raise FormatError("missing trailing newline", max(1, text.count("\n") + 1))
-    raw = text.split("\n")[:-1]  # drop the empty piece after the final newline
+    # Only the comments and the header are split into lines here; the edge
+    # body after them is left to _canonical_body or _edge_lines.
+    body = 0
+    while text.startswith("#", body):
+        body = text.index("\n", body) + 1
+    if body < len(text):
+        body = text.index("\n", body) + 1
+    raw = text[:body].split("\n")[:-1]  # drop the empty piece after the final newline
 
     lineno = 0
     modulus: int | None = None
@@ -249,37 +334,9 @@ def _parse(text: str, want_provenance: bool) -> tuple[Hypergraph3, VertexMap | N
         raise FormatError("missing header", lineno if lineno else 1)
 
     n, m = header
-    edges: list[tuple[int, int, int]] = []
-    prev: tuple[int, int, int] | None = None
-    for k in range(m):
-        if idx >= len(raw):
-            raise FormatError(f"expected {m} edges, found {k}", len(raw) + 1)
-        lineno = idx + 1
-        line = raw[idx]
-        idx += 1
-        if line.startswith("#"):
-            raise FormatError("comments are only allowed before the header", lineno)
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise FormatError(f"edge line needs three vertex ids, got {len(tokens)}", lineno)
-        a, b, c = (_parse_int(t, "vertex id", lineno) for t in tokens)
-        if not (a < b < c):
-            if len({a, b, c}) != 3:
-                raise FormatError(f"repeated vertex in edge {line!r}", lineno)
-            raise FormatError(f"edge {line!r} not in ascending order", lineno)
-        if a < 0 or c >= n:
-            raise FormatError(f"vertex id out of range in {line!r}", lineno)
-        e = (a, b, c)
-        if prev is not None and e <= prev:
-            if e == prev:
-                raise FormatError(f"duplicate edge {line!r}", lineno)
-            raise FormatError(f"edge {line!r} out of lexicographic order", lineno)
-        edges.append(e)
-        prev = e
-    if idx != len(raw):
-        raise FormatError("unexpected content after the edge list", idx + 1)
-
-    h = Hypergraph3(n, tuple(edges))
+    h = _canonical_body(text, body, n, m)
+    if h is None:
+        h = Hypergraph3(n, _edge_lines(text.split("\n")[:-1], idx, n, m))
     if not want_provenance or not vertex_lines:
         return h, None
 

@@ -57,6 +57,107 @@ def intersections_by_scan(p: int, slope, intercept: int, shift: int):
     return out
 
 
+def _residue_tables(p: int) -> tuple[list[int], list[int | None]]:
+    """chi and least square root of every residue, from one scan of y^2."""
+    root: list[int | None] = [None] * p
+    for y in range(p - 1, -1, -1):
+        root[y * y % p] = y
+    chi = [0 if a == 0 else (1 if root[a] is not None else -1) for a in range(p)]
+    return chi, root
+
+
+def base_edges_by_pairs(p: int) -> tuple[list[tuple[int, int, int]], int]:
+    """Edges of the full construction and its two-point secant count, one
+    pair {a, b} of V1 points at a time (the pre-sweep build_base loop)."""
+    chi, root = _residue_tables(p)
+    inv2 = pow(2, -1, p)
+    edges = []
+    two_point = 0
+    for a in range(p):
+        for b in range(a + 1, p):
+            disc = ((a - b) * (a - b) - 4) % p
+            sign = chi[disc]
+            if sign < 0:
+                continue
+            s = a + b
+            if sign == 0:
+                w = s * inv2 % p
+            else:
+                two_point += 1
+                r = root[disc]
+                w = min((s + r) * inv2 % p, (s - r) * inv2 % p)
+            edges.append((a, b, p + w))
+    return sorted(tuple(sorted(e)) for e in edges), two_point
+
+
+def random_edges_by_pairs(p: int, pool) -> tuple[list[tuple[int, int, int]], int]:
+    """Edges of the thinned construction for the kept V2 x coordinates in
+    pool (ascending), and how many secants had two kept candidates; one
+    pair of V1 points at a time (the pre-sweep build_random loop)."""
+    in_pool = [False] * p
+    pool_id = {}
+    for rank, x in enumerate(pool):
+        in_pool[x] = True
+        pool_id[x] = p + rank
+    chi, root = _residue_tables(p)
+    inv2 = pow(2, -1, p)
+    edges = []
+    two_point = 0
+    for a in range(p):
+        for b in range(a + 1, p):
+            disc = ((a - b) * (a - b) - 4) % p
+            sign = chi[disc]
+            if sign < 0:
+                continue
+            s = a + b
+            if sign == 0:
+                cands = (s * inv2 % p,)
+            else:
+                r = root[disc]
+                cands = ((s + r) * inv2 % p, (s - r) * inv2 % p)
+            kept = [x for x in cands if in_pool[x]]
+            if len(kept) == 2:
+                two_point += 1
+            if not kept:
+                continue
+            edges.append((a, b, pool_id[min(kept)]))
+    return sorted(tuple(sorted(e)) for e in edges), two_point
+
+
+def qr_edges_by_pairs(p: int) -> tuple[list[tuple[int, int, int]], int]:
+    """Edges of the quadratic-residue thinning (S ids first, then V2) and
+    its two-point count; one pair of V2 points at a time (the pre-sweep
+    build_qr loop)."""
+    squares = sorted({x * x % p for x in range(p)})
+    s_id = {x: i for i, x in enumerate(squares)}
+    s_size = len(squares)
+    chi, root = _residue_tables(p)
+    inv2 = pow(2, -1, p)
+    edges = []
+    two_point = 0
+    # Secant of V2 through parameters {a, b} meets V1 where
+    # x^2 - (a+b)x + (ab - 1) = 0, discriminant (a-b)^2 + 4.
+    for a in range(p):
+        for b in range(a + 1, p):
+            disc = ((a - b) * (a - b) + 4) % p
+            sign = chi[disc]
+            if sign < 0:
+                continue
+            s = a + b
+            if sign == 0:
+                cands = (s * inv2 % p,)
+            else:
+                r = root[disc]
+                cands = ((s + r) * inv2 % p, (s - r) * inv2 % p)
+            kept = [x for x in cands if x in s_id]
+            if len(kept) == 2:
+                two_point += 1
+            if not kept:
+                continue
+            edges.append((s_id[min(kept)], s_size + a, s_size + b))
+    return sorted(tuple(sorted(e)) for e in edges), two_point
+
+
 def _edge_mask(edge) -> int:
     a, b, c = edge
     return (1 << a) | (1 << b) | (1 << c)

@@ -200,6 +200,52 @@ def test_directory_input_cannot_be_read(args, tmp_path):
     assert_clean_stderr(proc)
 
 
+@pytest.mark.parametrize("args", [
+    ("verify", "--in", "elf.hg3"),
+    ("detect", "--in", "elf.hg3", "--find", "grid"),
+])
+def test_non_utf8_input_cannot_be_read(args, tmp_path):
+    (tmp_path / "elf.hg3").write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0xe0)))
+    proc = run(args, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 2 and lines[0] == "cannot read elf.hg3: not UTF-8 text", proc.stderr
+    assert_clean_stderr(proc)
+
+
+def test_report_named_out_is_rejected_before_building(tmp_path):
+    proc = run(("construct", "base", "--p", "5", "--out", "r.report.json"), tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 2 and ".report.json" in lines[0], proc.stderr
+    assert_clean_stderr(proc)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_report_write_leaves_no_partial_files(tmp_path):
+    # an old file at the .hg3 name is replaced whole; a report name held by a
+    # directory fails the second write, which leaves no temporary file behind
+    (tmp_path / "base5.hg3").write_text("junk\n" * 1000)
+    (tmp_path / "base5.report.json").mkdir()
+    proc = run(("construct", "base", "--p", "5", "--out", "base5.hg3"), tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("cannot write base5.report.json"), proc.stderr
+    assert_clean_stderr(proc)
+    assert (tmp_path / "base5.hg3").read_text() == (GOLDEN / "base5.hg3").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base5.hg3", "base5.report.json"]
+    (tmp_path / "base5.report.json").rmdir()
+    (tmp_path / "base5.hg3").unlink()
+    (tmp_path / "base5.hg3").mkdir()
+    proc = run(("construct", "base", "--p", "5", "--out", "base5.hg3"), tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("cannot write base5.hg3"), proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["base5.hg3"]
+    assert list((tmp_path / "base5.hg3").iterdir()) == []
+
+
 def test_failed_out_write_is_not_a_read_error(tmp_path):
     proc = run(("construct", "base", "--p", "5", "--out", "nodir/base5.hg3"), tmp_path)
     assert proc.returncode == 2

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+
 from gridfree import (
     ConstructionReport,
     InvalidPrimeError,
@@ -80,6 +82,29 @@ def test_two_point_secant_counts():
         got = count_two_point_secants(p)
         assert got == want
         assert build_base(p)[2].two_point_secants == got
+
+
+ORACLE_PRIMES = [p for p in range(5, 212, 2) if all(p % q for q in range(3, p, 2))]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_builders_match_pair_by_pair_oracles(p):
+    edges, two_point = oracles.base_edges_by_pairs(p)
+    h, _, rep = build_base(p)
+    assert (h.n, list(h.edges), rep.two_point_secants) == (2 * p, edges, two_point)
+    assert count_two_point_secants(p) == two_point
+
+    edges, two_point = oracles.qr_edges_by_pairs(p)
+    h, _, rep = build_qr(p)
+    assert (h.n, list(h.edges), rep.two_point_secants) == ((p + 1) // 2 + p, edges, two_point)
+
+    for num, den in ((0, 1), (2, 7), (1, 2), (1, 1)):
+        for seed in (1, 2, 3):
+            pool = select_subset(p, num, den, seed)
+            edges, two_point = oracles.random_edges_by_pairs(p, pool)
+            h, _, rep = build_random(p, num, den, seed)
+            assert (h.n, list(h.edges), rep.two_point_secants) == \
+                (p + len(pool), edges, two_point), (num, den, seed)
 
 
 def test_each_base_edge_is_a_secant_incidence():

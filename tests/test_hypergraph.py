@@ -114,6 +114,20 @@ PARSE_ERRORS = [
     ("3 1\n0 1 2\n# late\n", 3, "unexpected content"),
     ("3 1\n0 1 2\n0 1 2\n", 3, "unexpected content"),
     ("", 1, "missing trailing newline"),
+    # tokens that would line up as triples only across line breaks
+    ("6 2\n0 1\n2 3 4 5\n", 2, "three vertex ids, got 2"),
+    ("6 2\n0 1 2 3\n4 5\n", 2, "three vertex ids, got 4"),
+    # bodies in encode's form with the wrong edge count or a bad edge
+    ("6 3\n0 1 2\n3 4 5\n", 4, "expected 3 edges, found 2"),
+    ("6 1\n0 1 2\n3 4 5\n", 3, "unexpected content"),
+    ("6 2\n0 1 2\n3 4 6\n", 3, "vertex id out of range"),
+    ("6 3\n0 1 2\n0 3 4\n0 1 5\n", 4, "out of lexicographic order"),
+    ("6 2\n0 1 2\n3 3 5\n", 3, "repeated vertex"),
+    # the same faults outside encode's form
+    ("6 2\r\n0 1 2\r\n0 1 2\r\n", 3, "duplicate edge"),
+    ("6 2\n0\t1\n2 3 4 5\n", 2, "three vertex ids, got 2"),
+    ("6 2\n0 1 2\n3 4 +6\n", 3, "vertex id out of range"),
+    ("6 2\n0 1 2\n3 4 5x\n", 3, "vertex id '5x' is not an integer"),
 ]
 
 
@@ -123,6 +137,23 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
         decode(text)
     assert exc.value.line == line
     assert fragment in str(exc.value)
+
+
+CANONICAL_TEXT = "5 2\n0 1 2\n0 3 4\n"
+LENIENT_TEXTS = [
+    "5 2\n0\t1\t2\n0 3\t4\n",  # tab separators
+    "5 2\r\n0 1 2\r\n0 3 4\r\n",  # CRLF line ends
+    "5 2\n+0 1 2\n0 +3 4\n",  # explicit signs
+    "5 2\n000 1 002\n0 003 4\n",  # leading zeros
+    "5 2\n0  1  2\n 0 3 4 \n",  # doubled, leading and trailing spaces
+]
+
+
+@pytest.mark.parametrize("text", LENIENT_TEXTS)
+def test_lenient_edge_lines_decode_like_canonical_text(text):
+    h = decode(text)
+    assert h == decode(CANONICAL_TEXT)
+    assert encode(h) == CANONICAL_TEXT
 
 
 def test_comments_allowed_only_before_header():
