@@ -12,6 +12,12 @@ the piecewise closed form
 Supporting identities, each checked by direct enumeration:
 sum_x chi(x^2 - 4) = -1, sum_{a != b} chi((a^2-b^2)^2 - 4) = -(p-1), and
 the standard characterizations of chi(2) and chi(-2) mod 8.
+
+The census and the sums run on plain residues mod p with chi and square
+root lookup tables, not on FieldElement objects: each secant is the integer
+key m*p + c, and each pair's classification comes from construct's
+d-keyed sweep table.  The object-by-object route through geometry lives on
+as the slow oracle secant_census_by_objects in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -19,12 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .ffield import InvalidPrimeError, Prime, chi_table, legendre
-from .geometry import (
-    ParabolaSpec,
-    line_parabola_intersections,
-    secant_line,
-)
+from .construct import _secant_offsets
+from .ffield import Prime, _as_prime, chi_table, legendre, min_sqrt_table
 
 __all__ = [
     "SecantCensus",
@@ -37,20 +39,12 @@ __all__ = [
 ]
 
 
-def _as_prime(p: Prime | int, minimum: int = 3) -> Prime:
-    prime = p if isinstance(p, Prime) else Prime(p)
-    if prime.value < minimum:
-        raise InvalidPrimeError(f"need an odd prime >= {minimum}, got {prime.value}")
-    return prime
-
-
 def gauss_sum_check(p: Prime | int) -> int:
     """sum over x in F_p of chi(x^2 - 4), by direct enumeration.
 
     The identity says this is -1 for every odd prime; callers assert it.
     """
-    prime = _as_prime(p)
-    pv = prime.value
+    pv = _as_prime(p, 3).value
     chi = chi_table(pv)
     return sum(chi[(x * x - 4) % pv] for x in range(pv))
 
@@ -62,17 +56,15 @@ def delta_sum_check(p: Prime | int) -> int:
     the double sum collapses to (p-1) copies of the Gauss sum above and
     the identity value is -(p-1).  Computed here by brute force.
     """
-    prime = _as_prime(p)
-    pv = prime.value
+    pv = _as_prime(p, 3).value
     chi = chi_table(pv)
+    g = [chi[(u * u - 4) % pv] for u in range(pv)]
     sq = [x * x % pv for x in range(pv)]
-    total = 0
-    for a in range(pv):
-        sa = sq[a]
-        for b in range(pv):
-            if a == b:
-                continue
-            total += chi[((sa - sq[b]) ** 2 - 4) % pv]
+    # g[sa - sb] is g[(a^2 - b^2) mod p]: a negative index wraps by p.  The
+    # full square of pairs counts each of the p diagonal pairs as g[0].
+    total = -pv * g[0]
+    for sa in sq:
+        total += sum([g[sa - sb] for sb in sq])
     return total
 
 
@@ -115,44 +107,45 @@ class SecantCensus:
 def secant_census(p: Prime | int) -> SecantCensus:
     """Count distinct lines through two points of S that meet y = x^2 + 1.
 
-    Lines are deduplicated by their canonical form; every line's
-    intersection count is recomputed geometrically and cross-checked
-    against the quadratic-character classification of its generating
-    pair's discriminant (s-t)^2 - 4.  A disagreement raises.
+    Works on residues mod p.  The secant through the points of y = x^2 at
+    x = s and x = t is y = mx + c with m = s + t and c = -st; lines are
+    deduplicated by the key m*p + c.  Each line's intersection count is the
+    number of distinct roots (m +- r)/2 of x^2 - mx + 1 - c, r a square root
+    of its discriminant m^2 - 4(1 - c), and is cross-checked against the
+    classification of its generating pair by chi((s-t)^2 - 4), read from
+    construct's sweep table at d = t - s.  A disagreement raises.
     """
-    prime = _as_prime(p, minimum=5)
-    pv = prime.value
-    v1 = ParabolaSpec(prime(0))
-    v2 = ParabolaSpec(prime(1))
+    pv = _as_prime(p, 5).value
     xs = sorted({x * x % pv for x in range(pv)})
+    pairs = list(combinations(xs, 2))
+    classes = [0] * pv
+    for d, lo, hi in _secant_offsets(pv, -4):
+        classes[d] = 1 if lo == hi else 2
+    # (m + r)/2 and (m - r)/2 are distinct exactly when r and -r are.
+    n_roots = [0 if r is None else len({r, -r % pv}) for r in min_sqrt_table(pv)]
 
-    by_line: dict = {}
-    for s, t in combinations(xs, 2):
-        line = secant_line(prime(s), prime(t), v1)
-        by_line.setdefault(line, []).append((s, t))
+    ms = [(s + t) % pv for s, t in pairs]
+    cs = [-s * t % pv for s, t in pairs]
+    keys = [m * pv + c for m, c in zip(ms, cs)]
+    by_line = {k: n_roots[(m * m - 4 * (1 - c)) % pv] for k, m, c in zip(keys, ms, cs)}
+    counts = [by_line[k] for k in keys]
+    expected = [classes[t - s] for s, t in pairs]
+    if counts != expected:
+        s, t = next(st for st, a, b in zip(pairs, counts, expected) if a != b)
+        raise ArithmeticError(
+            f"discriminant classification disagrees with geometry "
+            f"for pair ({s}, {t}) mod {pv}"
+        )
 
-    n_two = n_tangent = 0
-    for line, pairs in by_line.items():
-        count = len(line_parabola_intersections(line, v2))
-        for s, t in pairs:
-            d = prime(s) - prime(t)
-            expected = {1: 2, 0: 1, -1: 0}[legendre(d * d - 4)]
-            if expected != count:
-                raise ArithmeticError(
-                    f"discriminant classification disagrees with geometry "
-                    f"for pair ({s}, {t}) mod {pv}"
-                )
-        if count == 2:
-            n_two += 1
-        elif count == 1:
-            n_tangent += 1
-
+    per_line = list(by_line.values())
+    n_two = per_line.count(2)
+    n_tangent = per_line.count(1)
     total = n_two + n_tangent
-    closed = closed_form_N(prime)
+    closed = closed_form_N(pv)
     return SecantCensus(
         p=pv,
         s_size=len(xs),
-        pair_count=len(xs) * (len(xs) - 1) // 2,
+        pair_count=len(pairs),
         n_two=n_two,
         n_tangent=n_tangent,
         n_total=total,
@@ -163,8 +156,7 @@ def secant_census(p: Prime | int) -> SecantCensus:
 
 def closed_form_N(p: Prime | int) -> int:
     """The claimed closed form for the census total."""
-    prime = _as_prime(p, minimum=5)
-    pv = prime.value
+    pv = _as_prime(p, 5).value
     if pv % 4 == 3:
         return (pv + 1) ** 2 // 16
     return (pv - 1) ** 2 // 16 + 2
@@ -183,7 +175,7 @@ class ReciprocityResult:
 def reciprocity_check(p: Prime | int) -> ReciprocityResult:
     """Evaluate chi(2) and chi(-2) and compare with the residue of p mod 8:
     chi(2) = +1 iff p = +-1 (mod 8); chi(-2) = +1 iff p = 1 or 3 (mod 8)."""
-    prime = _as_prime(p)
+    prime = _as_prime(p, 3)
     chi2 = legendre(prime(2))
     chi_m2 = legendre(prime(-2))
     r = prime.value % 8

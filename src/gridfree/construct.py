@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .ffield import InvalidPrimeError, Prime, chi_table, legendre, min_sqrt_table
+from .ffield import Prime, _as_prime, chi_table, legendre, min_sqrt_table
 from .geometry import AffinePoint
 from .hypergraph import Hypergraph3, VertexInfo, VertexMap
 from .rng import bernoulli_threshold, splitmix64_stream
@@ -127,13 +127,6 @@ class ConstructionReport:
         return {k: values[k] for k in _REPORT_KEYS}
 
 
-def _as_prime(p: Prime | int, minimum: int = 5) -> Prime:
-    prime = p if isinstance(p, Prime) else Prime(p)
-    if prime.value < minimum:
-        raise InvalidPrimeError(f"need an odd prime >= {minimum}, got {prime.value}")
-    return prime
-
-
 def _parabola_info(origin: str, prime: Prime, x: int, shift: int) -> VertexInfo:
     xe = prime(x)
     point = AffinePoint(xe, prime(x * x + shift))
@@ -143,7 +136,7 @@ def _parabola_info(origin: str, prime: Prime, x: int, shift: int) -> VertexInfo:
 def select_subset(p: Prime | int, rho_num: int, rho_den: int, seed: int) -> list[int]:
     """x coordinates of the V2 points kept by the seeded coin flips, one
     64-bit draw per x in ascending order."""
-    prime = _as_prime(p)
+    prime = _as_prime(p, 5)
     _check_seed(seed)
     threshold = bernoulli_threshold(rho_num, rho_den)
     stream = splitmix64_stream(seed)
@@ -217,7 +210,7 @@ def build_base(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionRepo
     edge takes the smaller-x intersection of the secant with V2.  The edge
     count must equal p(p - chi(-1))/4.
     """
-    prime = _as_prime(p)
+    prime = _as_prime(p, 5)
     pv = prime.value
     edges, two_point = _sweep(pv, -4, range(pv), pv)
     h = Hypergraph3(2 * pv, edges)
@@ -246,7 +239,7 @@ def build_base(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionRepo
 def count_two_point_secants(p: Prime | int) -> int:
     """Number of V1 secants meeting V2 in two points: the pairs with
     chi((a-b)^2 - 4) = +1, expected p(p - chi(-1) - 4)/4."""
-    pv = _as_prime(p).value
+    pv = _as_prime(p, 5).value
     return sum(pv - d for d, lo, hi in _secant_offsets(pv, -4) if lo != hi)
 
 
@@ -260,7 +253,7 @@ def build_random(
     With rho = 1 the edge set equals build_base(p); with rho = 0 the
     result has no edges and only the p V1 vertices.
     """
-    prime = _as_prime(p)
+    prime = _as_prime(p, 5)
     pv = prime.value
     selected = select_subset(prime, rho_num, rho_den, seed)
     edges, two_point = _sweep(pv, -4, selected, pv)
@@ -292,7 +285,7 @@ def build_qr(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionReport
     (ids 0..|S|-1 and |S|..|S|+p-1, each block ascending by x).  Every
     secant of V2 whose intersection with V1 contains a square x picks the
     smallest such x."""
-    prime = _as_prime(p)
+    prime = _as_prime(p, 5)
     pv = prime.value
     squares = sorted({x * x % pv for x in range(pv)})
     s_size = len(squares)

@@ -92,6 +92,14 @@ class Prime:
         return FieldElement(residue, self)
 
 
+def _as_prime(p: Prime | int, minimum: int) -> Prime:
+    """p as a Prime, refused unless it is at least `minimum`."""
+    prime = p if isinstance(p, Prime) else Prime(p)
+    if prime.value < minimum:
+        raise InvalidPrimeError(f"need an odd prime >= {minimum}, got {prime.value}")
+    return prime
+
+
 class FieldElement:
     """A residue in [0, p) under a fixed odd prime modulus.
 

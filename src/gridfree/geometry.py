@@ -2,9 +2,11 @@
 
 Points, canonical lines (slope/intercept or vertical), shifted parabolas
 y = x^2 + t, secants and their quadratic discriminants, and a fully
-projective Pascal-hexagon collinearity check (opposite-side meets computed
-with cross products, so parallel sides meeting at infinity need no special
-case).
+projective Pascal-hexagon collinearity check: each point is lifted to the
+residue triple (x, y, 1), and the sides, their opposite meets and the
+final determinant are computed in integers mod p, so parallel sides
+meeting at infinity need no special case.  The same check through ProjPoint objects is
+kept in tests/oracles.py as pascal_meets_by_objects.
 """
 
 from __future__ import annotations
@@ -110,10 +112,6 @@ class Line:
             _same_modulus(self.m, self.c)
 
     @classmethod
-    def slant(cls, m: FieldElement, c: FieldElement) -> "Line":
-        return cls(m, c)
-
-    @classmethod
     def vertical(cls, c: FieldElement) -> "Line":
         return cls(None, c)
 
@@ -169,7 +167,7 @@ def secant_line(a: FieldElement, b: FieldElement, parabola: ParabolaSpec) -> Lin
     _same_modulus(a, b, parabola.shift)
     if a == b:
         raise DegenerateSecantError(f"repeated parameter {a!r}")
-    return Line.slant(a + b, -(a * b) + parabola.shift)
+    return Line(a + b, -(a * b) + parabola.shift)
 
 
 def discriminant_shift(a: FieldElement, b: FieldElement, delta_t: FieldElement) -> FieldElement:
@@ -205,20 +203,12 @@ def line_parabola_intersections(line: Line, parabola: ParabolaSpec) -> tuple[Aff
     return tuple(parabola.point_at(x) for x in xs)
 
 
-def _cross(u, v):
-    """Cross product of two 3-vectors of field elements."""
+def _cross(u, v, p: int) -> tuple[int, int, int]:
+    """Cross product mod p of two 3-vectors of residues."""
     return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _det3(r1, r2, r3) -> FieldElement:
-    return (
-        r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
-        - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
-        + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0])
+        (u[1] * v[2] - u[2] * v[1]) % p,
+        (u[2] * v[0] - u[0] * v[2]) % p,
+        (u[0] * v[1] - u[1] * v[0]) % p,
     )
 
 
@@ -228,18 +218,19 @@ def pascal_meets_collinear(points: Sequence[AffinePoint]) -> bool:
     Hexagon A,B,C,D,E,F in the given order; sides AB..FA; the meets
     AB^DE, BC^EF, CD^FA are computed projectively and tested with a 3x3
     determinant.  No conic membership is assumed here; this is the bare
-    incidence computation.
+    incidence computation, on the residue triples (x, y, 1) mod p.
     """
     pts = list(points)
     if len(pts) != 6:
         raise ValueError(f"exactly six points required, got {len(pts)}")
     if len(set(pts)) != 6:
         raise ValueError("hexagon points must be pairwise distinct")
-    lifted = [ProjPoint.from_affine(p) for p in pts]
-    vecs = [(q.X, q.Y, q.Z) for q in lifted]
-    sides = [_cross(vecs[i], vecs[(i + 1) % 6]) for i in range(6)]
-    meets = [_cross(sides[i], sides[i + 3]) for i in range(3)]
-    return _det3(*meets).residue == 0
+    p = _same_modulus(*(q.x for q in pts)).value
+    vecs = [(q.x.residue, q.y.residue, 1) for q in pts]
+    sides = [_cross(vecs[i], vecs[(i + 1) % 6], p) for i in range(6)]
+    m1, m2, m3 = [_cross(sides[i], sides[i + 3], p) for i in range(3)]
+    # det(m1, m2, m3) = m1 . (m2 x m3)
+    return sum(a * b for a, b in zip(m1, _cross(m2, m3, p))) % p == 0
 
 
 def pascal_collinear(

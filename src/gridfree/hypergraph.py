@@ -63,27 +63,31 @@ class Hypergraph3:
 
     def __post_init__(self) -> None:
         n = self.n
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
         edges = tuple(map(tuple, self.edges))
         object.__setattr__(self, "edges", edges)
         try:
-            canonical = all(0 <= a < b < c < n for a, b, c in edges) and all(
-                map(lt, edges, islice(edges, 1, None))
-            )
+            canonical = all(
+                type(a) is type(b) is type(c) is int and 0 <= a < b < c < n
+                for a, b, c in edges
+            ) and all(map(lt, edges, islice(edges, 1, None)))
         except (TypeError, ValueError):
             canonical = False
         if not canonical:
             self._reject(edges)
 
     def _reject(self, edges) -> None:
-        """Raise the ValueError naming the first edge that is not a triple,
-        not strictly ascending, out of range, or not above its predecessor."""
+        """Raise the ValueError naming the first edge that is not a triple
+        of ints, not strictly ascending, out of range, or not above its
+        predecessor."""
         prev = None
         for e in edges:
             if len(e) != 3:
                 raise ValueError(f"edge {e!r} is not a triple")
             a, b, c = e
+            if not (type(a) is type(b) is type(c) is int):
+                raise ValueError(f"edge {e!r} has a vertex id that is not an int")
             if not (a < b < c):
                 raise ValueError(f"edge {e!r} is not strictly ascending")
             if a < 0 or c >= self.n:

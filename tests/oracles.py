@@ -3,8 +3,11 @@
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package: full scans instead of closed forms, all-subsets
 enumeration instead of pruned search, random.Random instead of the package
-generator.  Seeded generators for random and planted instances also live
-here so the tests and the acceptance gate draw from the same well.
+generator.  The exception is the object route, which keeps the fast
+paths' old FieldElement/geometry computations (the census and the Pascal
+meets) as references for the residue-integer versions.  Seeded generators
+for random and planted instances also live here so the tests and the
+acceptance gate draw from the same well.
 """
 
 from __future__ import annotations
@@ -13,7 +16,17 @@ import itertools
 import random
 from fractions import Fraction
 
-from gridfree import Hypergraph3
+from gridfree import (
+    Hypergraph3,
+    ParabolaSpec,
+    Prime,
+    ProjPoint,
+    closed_form_N,
+    legendre,
+    line_parabola_intersections,
+    secant_line,
+)
+from gridfree.charsum import SecantCensus
 
 GRID_CANON = ((0, 1, 2), (0, 3, 6), (1, 4, 7), (2, 5, 8), (3, 4, 5), (6, 7, 8))
 PRISM_CANON = ((0, 1, 2), (0, 3, 6), (1, 4, 5), (2, 5, 8), (3, 4, 7), (6, 7, 8))
@@ -156,6 +169,80 @@ def qr_edges_by_pairs(p: int) -> tuple[list[tuple[int, int, int]], int]:
                 continue
             edges.append((s_id[min(kept)], s_size + a, s_size + b))
     return sorted(tuple(sorted(e)) for e in edges), two_point
+
+
+def secant_census_by_objects(p: int) -> SecantCensus:
+    """The census over FieldElement objects: geometry's secant lines,
+    deduplicated as Line objects, each intersected with y = x^2 + 1 by
+    line_parabola_intersections and cross-checked pair by pair against
+    legendre((s-t)^2 - 4)."""
+    prime = Prime(p)
+    pv = prime.value
+    v1 = ParabolaSpec(prime(0))
+    v2 = ParabolaSpec(prime(1))
+    xs = sorted({x * x % pv for x in range(pv)})
+
+    by_line: dict = {}
+    for s, t in itertools.combinations(xs, 2):
+        line = secant_line(prime(s), prime(t), v1)
+        by_line.setdefault(line, []).append((s, t))
+
+    n_two = n_tangent = 0
+    for line, pairs in by_line.items():
+        count = len(line_parabola_intersections(line, v2))
+        for s, t in pairs:
+            d = prime(s) - prime(t)
+            expected = {1: 2, 0: 1, -1: 0}[legendre(d * d - 4)]
+            if expected != count:
+                raise ArithmeticError(
+                    f"discriminant classification disagrees with geometry "
+                    f"for pair ({s}, {t}) mod {pv}"
+                )
+        if count == 2:
+            n_two += 1
+        elif count == 1:
+            n_tangent += 1
+
+    total = n_two + n_tangent
+    closed = closed_form_N(prime)
+    return SecantCensus(
+        p=pv,
+        s_size=len(xs),
+        pair_count=len(xs) * (len(xs) - 1) // 2,
+        n_two=n_two,
+        n_tangent=n_tangent,
+        n_total=total,
+        closed_form=closed,
+        matches=total == closed,
+    )
+
+
+def _cross(u, v):
+    """Cross product of two 3-vectors of field elements."""
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _det3(r1, r2, r3):
+    return (
+        r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
+        - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
+        + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0])
+    )
+
+
+def pascal_meets_by_objects(points) -> bool:
+    """Opposite-side meets AB^DE, BC^EF, CD^FA of six affine points, each
+    lifted to a ProjPoint, with cross products and the determinant taken
+    over FieldElement objects."""
+    lifted = [ProjPoint.from_affine(q) for q in points]
+    vecs = [(q.X, q.Y, q.Z) for q in lifted]
+    sides = [_cross(vecs[i], vecs[(i + 1) % 6]) for i in range(6)]
+    meets = [_cross(sides[i], sides[i + 3]) for i in range(3)]
+    return _det3(*meets).residue == 0
 
 
 def _edge_mask(edge) -> int:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import oracles
@@ -5,6 +7,7 @@ from gridfree import (
     InvalidPrimeError,
     Prime,
     build_qr,
+    charsum,
     closed_form_N,
     delta_sum_check,
     gauss_sum_check,
@@ -81,6 +84,34 @@ def test_census_closed_form_agreement_pattern():
         assert c.matches == (p not in CENSUS_MISMATCHES), p
         if p % 4 == 3:
             assert c.matches, p
+
+
+def test_census_matches_object_oracle():
+    for p in range(5, 200):
+        if is_prime(p):
+            assert secant_census(p) == oracles.secant_census_by_objects(p), p
+
+
+def test_census_cross_check_catches_any_misclassified_difference(monkeypatch):
+    # Misclassify one difference d = t - s at a time in the sweep table the
+    # census reads its pair classes from; the first pair of squares with
+    # that difference must be named.
+    real = charsum._secant_offsets
+    for p in (7, 13, 29):
+        pairs = list(itertools.combinations(sorted({x * x % p for x in range(p)}), 2))
+        for d in sorted({t - s for s, t in pairs}):
+            def flipped(pv, shift, d=d):
+                rows = real(pv, shift)
+                kept = [row for row in rows if row[0] != d]
+                # a disjoint d becomes tangent; any other becomes disjoint
+                return kept + [(d, 0, 0)] if len(kept) == len(rows) else kept
+
+            monkeypatch.setattr(charsum, "_secant_offsets", flipped)
+            s, t = next((s, t) for s, t in pairs if t - s == d)
+            with pytest.raises(ArithmeticError, match=rf"pair \({s}, {t}\) mod {p}$"):
+                secant_census(p)
+    monkeypatch.undo()
+    assert secant_census(29) == oracles.secant_census_by_objects(29)
 
 
 def test_census_json_key_order():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -102,7 +103,7 @@ def test_intersections_match_full_scan():
             par = ParabolaSpec(P(t))
             for m in range(p):
                 for c in range(p):
-                    got = line_parabola_intersections(Line.slant(P(m), P(c)), par)
+                    got = line_parabola_intersections(Line(P(m), P(c)), par)
                     want = oracles.intersections_by_scan(p, m, c, t)
                     assert [(q.x.residue, q.y.residue) for q in got] == want
             for vx in range(p):
@@ -126,7 +127,7 @@ def test_discriminant_classifies_intersections():
 
 def test_known_intersection_example():
     v2 = ParabolaSpec(F7(1))
-    pts = line_parabola_intersections(Line.slant(F7(3), F7(5)), v2)
+    pts = line_parabola_intersections(Line(F7(3), F7(5)), v2)
     assert [(q.x.residue, q.y.residue) for q in pts] == [(4, 3), (6, 2)]
 
 
@@ -176,3 +177,55 @@ def test_meets_collinear_requires_six_distinct_points():
         pascal_meets_collinear(pts[:5])
     with pytest.raises(ValueError):
         pascal_meets_collinear(pts[:5] + [pts[0]])
+
+
+def _hexagon(rng: random.Random, p: int, kind: str) -> list[AffinePoint]:
+    """Six distinct seeded points mod p: on y = x^2, all off it, with two
+    pairs of opposite sides parallel, or centrally symmetric (all three
+    pairs parallel, so every meet is at infinity)."""
+    P = Prime(p)
+    while True:
+        if kind == "on-conic":
+            pts = [(x, x * x) for x in rng.sample(range(p), 6)]
+        elif kind == "off-conic":
+            pts = []
+            while len(pts) < 6:
+                x, y = rng.randrange(p), rng.randrange(p)
+                if (y - x * x) % p:
+                    pts.append((x, y))
+        else:
+            a, b, c, d = [(rng.randrange(p), rng.randrange(p)) for _ in range(4)]
+            if kind == "symmetric":
+                pts = [a, b, c, (-a[0], -a[1]), (-b[0], -b[1]), (-c[0], -c[1])]
+            else:  # AB parallel to DE and CD parallel to FA
+                k, j = rng.randrange(1, p), rng.randrange(1, p)
+                e = (d[0] + k * (b[0] - a[0]), d[1] + k * (b[1] - a[1]))
+                f = (a[0] + j * (d[0] - c[0]), a[1] + j * (d[1] - c[1]))
+                pts = [a, b, c, d, e, f]
+        pts = [(x % p, y % p) for x, y in pts]
+        if len(set(pts)) == 6:
+            return [AffinePoint(P(x), P(y)) for x, y in pts]
+
+
+def test_pascal_meets_match_object_oracle():
+    seen = set()
+    for p in (5, 7, 13, 101, 1009):
+        rng = random.Random(p)
+        par = ParabolaSpec(Prime(p)(0))
+        for kind in ("on-conic", "off-conic", "parallel", "symmetric"):
+            if kind == "on-conic" and p < 6:
+                continue  # y = x^2 has only p points
+            for _ in range(40):
+                pts = _hexagon(rng, p, kind)
+                got = pascal_meets_collinear(pts)
+                assert got == oracles.pascal_meets_by_objects(pts), (p, kind, pts)
+                if kind == "on-conic":
+                    assert got and pascal_collinear(pts, par)
+                seen.add(got)
+    assert seen == {True, False}
+
+
+def test_pascal_meets_reject_mixed_moduli():
+    pts = [AffinePoint(F7(x), F7(x * x)) for x in range(5)]
+    with pytest.raises(MixedModulusError):
+        pascal_meets_collinear(pts + [AffinePoint(F13(5), F13(12))])

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,8 +35,12 @@ def test_constructor_validates_edges():
         Hypergraph3(3, ((0, 0, 1),))  # repeated vertex
     with pytest.raises(ValueError):
         Hypergraph3(5, ((0, 3, 4), (0, 1, 2)))  # edge list out of order
-    with pytest.raises(ValueError):
-        Hypergraph3(-1, ())
+    for n in (-1, True, 4.0):
+        with pytest.raises(ValueError):
+            Hypergraph3(n, ())
+    for edge in ((0, 0.5, 1), (0, 1, 2.0), (True, 2, 3)):  # ids must be ints
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} ")):
+            Hypergraph3(4, (edge,))
     assert Hypergraph3(0, ()).m == 0
 
 
