@@ -14,10 +14,11 @@ sum_x chi(x^2 - 4) = -1, sum_{a != b} chi((a^2-b^2)^2 - 4) = -(p-1), and
 the standard characterizations of chi(2) and chi(-2) mod 8.
 
 The census and the sums run on plain residues mod p with chi and square
-root lookup tables, not on FieldElement objects: each secant is the integer
-key m*p + c, and each pair's classification comes from construct's
-d-keyed sweep table.  The object-by-object route through geometry lives on
-as the slow oracle secant_census_by_objects in tests/oracles.py.
+root lookup tables, not on FieldElement objects: each secant is counted
+from its own discriminant, and each pair's classification comes from
+construct's d-keyed sweep table.  The object-by-object route through
+geometry lives on as the slow oracle secant_census_by_objects in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -108,10 +109,11 @@ def secant_census(p: Prime | int) -> SecantCensus:
     """Count distinct lines through two points of S that meet y = x^2 + 1.
 
     Works on residues mod p.  The secant through the points of y = x^2 at
-    x = s and x = t is y = mx + c with m = s + t and c = -st; lines are
-    deduplicated by the key m*p + c.  Each line's intersection count is the
-    number of distinct roots (m +- r)/2 of x^2 - mx + 1 - c, r a square root
-    of its discriminant m^2 - 4(1 - c), and is cross-checked against the
+    x = s and x = t is y = mx + c with m = s + t and c = -st; a line meets
+    y = x^2 in at most two points, so distinct pairs give distinct secants.
+    Each line's intersection count is the number of distinct roots
+    (m +- r)/2 of x^2 - mx + 1 - c, r a square root of its discriminant
+    (s + t)^2 - 4(1 + st), and is cross-checked against the
     classification of its generating pair by chi((s-t)^2 - 4), read from
     construct's sweep table at d = t - s.  A disagreement raises.
     """
@@ -124,11 +126,7 @@ def secant_census(p: Prime | int) -> SecantCensus:
     # (m + r)/2 and (m - r)/2 are distinct exactly when r and -r are.
     n_roots = [0 if r is None else len({r, -r % pv}) for r in min_sqrt_table(pv)]
 
-    ms = [(s + t) % pv for s, t in pairs]
-    cs = [-s * t % pv for s, t in pairs]
-    keys = [m * pv + c for m, c in zip(ms, cs)]
-    by_line = {k: n_roots[(m * m - 4 * (1 - c)) % pv] for k, m, c in zip(keys, ms, cs)}
-    counts = [by_line[k] for k in keys]
+    counts = [n_roots[((s + t) * (s + t) - 4 * (1 + s * t)) % pv] for s, t in pairs]
     expected = [classes[t - s] for s, t in pairs]
     if counts != expected:
         s, t = next(st for st, a, b in zip(pairs, counts, expected) if a != b)
@@ -137,9 +135,8 @@ def secant_census(p: Prime | int) -> SecantCensus:
             f"for pair ({s}, {t}) mod {pv}"
         )
 
-    per_line = list(by_line.values())
-    n_two = per_line.count(2)
-    n_tangent = per_line.count(1)
+    n_two = counts.count(2)
+    n_tangent = counts.count(1)
     total = n_two + n_tangent
     closed = closed_form_N(pv)
     return SecantCensus(

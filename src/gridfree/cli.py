@@ -32,6 +32,7 @@ from .lemma import (
     coverage,
     delta_check,
     expected_coverage,
+    half_family_expectation,
     lemma_bound,
 )
 from .rng import MASK64, sample_distinct, splitmix64_stream
@@ -96,14 +97,19 @@ def _seed(text: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_between(minimum: int, maximum: int | None = None):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
+        return value
+
+    return parse
 
 
 def _read_hypergraph(path: str):
@@ -314,8 +320,7 @@ def cmd_lemma(args) -> int:
     _print_json({"manifest": manifest}, args.pretty)
     for N in range(lo, hi + 1):
         k = N // 2
-        v = 2 * k * N - k * k - k
-        expectation = Fraction(v, 4)
+        expectation = half_family_expectation(N)
         bound = lemma_bound(N)
         delta, delta_ok = delta_check(N)
         if not delta_ok:
@@ -447,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pas = sub.add_parser("pascal", help="random hexagon collinearity audit")
     p_pas.add_argument("--p", type=_prime_at_least(7), required=True)
-    p_pas.add_argument("--samples", type=_positive_int, default=1000)
+    p_pas.add_argument("--samples", type=_int_between(1), default=1000)
     p_pas.add_argument("--seed", type=_seed, default=0)
     p_pas.add_argument("--pretty", action="store_true")
     p_pas.set_defaults(func=cmd_pascal)
@@ -455,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det = sub.add_parser("detect", help="hunt one configuration in a .hg3 file")
     p_det.add_argument("--in", dest="infile", required=True)
     p_det.add_argument("--find", choices=("grid", "prism", "core"), required=True)
-    p_det.add_argument("--max-vertices", type=int, default=9)
+    p_det.add_argument("--max-vertices", type=_int_between(4, 10), default=9)
     p_det.add_argument("--pretty", action="store_true")
     p_det.set_defaults(func=cmd_detect)
 
@@ -477,9 +482,6 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     finally:
         elapsed = time.perf_counter() - start
         print(f"gridfree: {elapsed:.3f}s elapsed", file=sys.stderr)

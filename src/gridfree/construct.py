@@ -19,9 +19,10 @@ builders filter one table keyed on d: for each d with a square
 discriminant, the offsets that put its candidate third points at a + o
 (mod p).  That takes p character/root lookups instead of p^2/2.  The
 builders emit edges in canonical order and construct the hypergraph
-directly.  The geometry module recomputes the same incidences
-object-by-object, tests/oracles.py keeps the pair-by-pair loops, and the
-tests cross-check all three routes.
+directly.  Each vertex's provenance is its origin and its point
+(x, x^2 + t) as plain residues mod p.  The geometry module recomputes the
+same incidences object-by-object, tests/oracles.py keeps the pair-by-pair
+loops, and the tests cross-check all three routes.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .ffield import Prime, _as_prime, chi_table, legendre, min_sqrt_table
-from .geometry import AffinePoint
 from .hypergraph import Hypergraph3, VertexInfo, VertexMap
 from .rng import bernoulli_threshold, splitmix64_stream
 
@@ -47,7 +46,6 @@ __all__ = [
     "count_two_point_secants",
     "select_subset",
     "density_ratio",
-    "optimal_rho",
 ]
 
 # Tie-break when a secant offers two third points: keep the smaller x.
@@ -55,39 +53,22 @@ SELECTION_RULE = "smaller-x"
 # Seeded sampling backend recorded in reports; see rng.splitmix64_stream.
 GENERATOR = "splitmix64"
 
-_REPORT_KEYS = (
-    "p",
-    "kind",
-    "n",
-    "m",
-    "density_num",
-    "density_den",
-    "chi_minus_1",
-    "predicted_m",
-    "two_point_secants",
-    "selection_size",
-    "seed",
-)
-
 
 @dataclass(frozen=True)
 class ConstructionReport:
-    """Counts and identities for one built instance.
+    """What was counted for one built instance; the rest is derived.
 
-    density is exact; two_point_secants counts the qualifying lines that
-    offered two candidate third points inside the thinned pool (for the
-    base construction the pool is all of V2).  predicted_m is the closed
-    form p(p - chi(-1))/4, only meaningful for kind="base" where it must
-    match the enumeration.
+    two_point_secants counts the qualifying lines that offered two
+    candidate third points inside the thinned pool (for the base
+    construction the pool is all of V2).  predicted_m is the closed form
+    p(p - chi(-1))/4, only meaningful for kind="base" where it must match
+    the enumeration.
     """
 
     p: int
     kind: str
     n: int
     m: int
-    density: Fraction
-    chi_minus_1: int
-    predicted_m: int | None
     two_point_secants: int
     selection_size: int | None
     seed: int | None
@@ -95,42 +76,40 @@ class ConstructionReport:
     def __post_init__(self) -> None:
         if self.kind not in ("base", "random", "qr"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.chi_minus_1 not in (-1, 1):
-            raise ValueError(f"chi(-1) must be +-1, got {self.chi_minus_1}")
-        if self.density * self.n * self.n != self.m:
-            raise ArithmeticError("density is not m/n^2")
         if self.kind == "base" and self.m != self.predicted_m:
             raise ArithmeticError(
                 f"enumerated m={self.m} disagrees with closed form {self.predicted_m}"
             )
 
-    def density_decimal(self, digits: int = 12) -> str:
-        """Decimal rendering of the exact density, for display only."""
-        with localcontext() as ctx:
-            ctx.prec = digits
-            return str(Decimal(self.density.numerator) / Decimal(self.density.denominator))
+    @property
+    def density(self) -> Fraction:
+        return Fraction(self.m, self.n * self.n)
+
+    @property
+    def chi_minus_1(self) -> int:
+        return legendre(Prime(self.p)(-1))
+
+    @property
+    def predicted_m(self) -> int | None:
+        if self.kind != "base":
+            return None
+        return self.p * (self.p - self.chi_minus_1) // 4
 
     def to_json_dict(self) -> dict:
-        values = {
+        density = self.density
+        return {
             "p": self.p,
             "kind": self.kind,
             "n": self.n,
             "m": self.m,
-            "density_num": self.density.numerator,
-            "density_den": self.density.denominator,
+            "density_num": density.numerator,
+            "density_den": density.denominator,
             "chi_minus_1": self.chi_minus_1,
             "predicted_m": self.predicted_m,
             "two_point_secants": self.two_point_secants,
             "selection_size": self.selection_size,
             "seed": self.seed,
         }
-        return {k: values[k] for k in _REPORT_KEYS}
-
-
-def _parabola_info(origin: str, prime: Prime, x: int, shift: int) -> VertexInfo:
-    xe = prime(x)
-    point = AffinePoint(xe, prime(x * x + shift))
-    return VertexInfo(origin, xe, point)
 
 
 def select_subset(p: Prime | int, rho_num: int, rho_den: int, seed: int) -> list[int]:
@@ -210,30 +189,12 @@ def build_base(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionRepo
     edge takes the smaller-x intersection of the secant with V2.  The edge
     count must equal p(p - chi(-1))/4.
     """
-    prime = _as_prime(p, 5)
-    pv = prime.value
+    pv = _as_prime(p, 5).value
     edges, two_point = _sweep(pv, -4, range(pv), pv)
     h = Hypergraph3(2 * pv, edges)
-    vmap = VertexMap(
-        tuple(
-            [_parabola_info("V1", prime, x, 0) for x in range(pv)]
-            + [_parabola_info("V2", prime, x, 1) for x in range(pv)]
-        )
-    )
-    chi_m1 = legendre(prime(-1))
-    report = ConstructionReport(
-        p=pv,
-        kind="base",
-        n=h.n,
-        m=h.m,
-        density=Fraction(h.m, h.n * h.n),
-        chi_minus_1=chi_m1,
-        predicted_m=pv * (pv - chi_m1) // 4,
-        two_point_secants=two_point,
-        selection_size=None,
-        seed=None,
-    )
-    return h, vmap, report
+    vmap = VertexMap(pv, [VertexInfo("V1", x, x * x % pv) for x in range(pv)]
+                     + [VertexInfo("V2", x, (x * x + 1) % pv) for x in range(pv)])
+    return h, vmap, ConstructionReport(pv, "base", h.n, h.m, two_point, None, None)
 
 
 def count_two_point_secants(p: Prime | int) -> int:
@@ -253,30 +214,13 @@ def build_random(
     With rho = 1 the edge set equals build_base(p); with rho = 0 the
     result has no edges and only the p V1 vertices.
     """
-    prime = _as_prime(p, 5)
-    pv = prime.value
-    selected = select_subset(prime, rho_num, rho_den, seed)
+    pv = _as_prime(p, 5).value
+    selected = select_subset(pv, rho_num, rho_den, seed)
     edges, two_point = _sweep(pv, -4, selected, pv)
     h = Hypergraph3(pv + len(selected), edges)
-    vmap = VertexMap(
-        tuple(
-            [_parabola_info("V1", prime, x, 0) for x in range(pv)]
-            + [_parabola_info("S-of-V2", prime, x, 1) for x in selected]
-        )
-    )
-    report = ConstructionReport(
-        p=pv,
-        kind="random",
-        n=h.n,
-        m=h.m,
-        density=Fraction(h.m, h.n * h.n),
-        chi_minus_1=legendre(prime(-1)),
-        predicted_m=None,
-        two_point_secants=two_point,
-        selection_size=len(selected),
-        seed=seed,
-    )
-    return h, vmap, report
+    vmap = VertexMap(pv, [VertexInfo("V1", x, x * x % pv) for x in range(pv)]
+                     + [VertexInfo("S-of-V2", x, (x * x + 1) % pv) for x in selected])
+    return h, vmap, ConstructionReport(pv, "random", h.n, h.m, two_point, len(selected), seed)
 
 
 def build_qr(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
@@ -285,8 +229,7 @@ def build_qr(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionReport
     (ids 0..|S|-1 and |S|..|S|+p-1, each block ascending by x).  Every
     secant of V2 whose intersection with V1 contains a square x picks the
     smallest such x."""
-    prime = _as_prime(p, 5)
-    pv = prime.value
+    pv = _as_prime(p, 5).value
     squares = sorted({x * x % pv for x in range(pv)})
     s_size = len(squares)
     triples, two_point = _sweep(pv, 4, squares, 0)
@@ -296,25 +239,9 @@ def build_qr(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionReport
     for a, b, w in triples:
         buckets[w].append((w, s_size + a, s_size + b))
     h = Hypergraph3(s_size + pv, [e for bucket in buckets for e in bucket])
-    vmap = VertexMap(
-        tuple(
-            [_parabola_info("S-of-V1", prime, x, 0) for x in squares]
-            + [_parabola_info("V2", prime, x, 1) for x in range(pv)]
-        )
-    )
-    report = ConstructionReport(
-        p=pv,
-        kind="qr",
-        n=h.n,
-        m=h.m,
-        density=Fraction(h.m, h.n * h.n),
-        chi_minus_1=legendre(prime(-1)),
-        predicted_m=None,
-        two_point_secants=two_point,
-        selection_size=s_size,
-        seed=None,
-    )
-    return h, vmap, report
+    vmap = VertexMap(pv, [VertexInfo("S-of-V1", x, x * x % pv) for x in squares]
+                     + [VertexInfo("V2", x, (x * x + 1) % pv) for x in range(pv)])
+    return h, vmap, ConstructionReport(pv, "qr", h.n, h.m, two_point, s_size, None)
 
 
 def density_ratio(rho) -> Fraction:
@@ -324,14 +251,3 @@ def density_ratio(rho) -> Fraction:
     if not 0 <= r <= 1:
         raise ValueError(f"rho must lie in [0, 1], got {r}")
     return (2 * r - r * r) / (4 * (1 + r) ** 2)
-
-
-def optimal_rho() -> Fraction:
-    """The maximizing rho = 1/2 (value 1/12), confirmed by exact comparison
-    against the rational grid k/1000, k = 0..1000."""
-    best = Fraction(1, 2)
-    peak = density_ratio(best)
-    for k in range(1001):
-        if density_ratio(Fraction(k, 1000)) > peak:
-            raise ArithmeticError("grid point beats rho = 1/2")
-    return best

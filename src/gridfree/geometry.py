@@ -1,7 +1,7 @@
 """Incidence geometry of the affine plane over an odd prime field.
 
 Points, canonical lines (slope/intercept or vertical), shifted parabolas
-y = x^2 + t, secants and their quadratic discriminants, and a fully
+y = x^2 + t, secants and where they meet a parabola, and a fully
 projective Pascal-hexagon collinearity check: each point is lifted to the
 residue triple (x, y, 1), and the sides, their opposite meets and the
 final determinant are computed in integers mod p, so parallel sides
@@ -29,7 +29,6 @@ __all__ = [
     "Line",
     "ParabolaSpec",
     "secant_line",
-    "discriminant_shift",
     "line_parabola_intersections",
     "pascal_collinear",
     "pascal_meets_collinear",
@@ -168,16 +167,6 @@ def secant_line(a: FieldElement, b: FieldElement, parabola: ParabolaSpec) -> Lin
     if a == b:
         raise DegenerateSecantError(f"repeated parameter {a!r}")
     return Line(a + b, -(a * b) + parabola.shift)
-
-
-def discriminant_shift(a: FieldElement, b: FieldElement, delta_t: FieldElement) -> FieldElement:
-    """Discriminant (a-b)^2 - 4*delta_t of the quadratic that locates where
-    the secant at parameters {a, b} of one parabola meets the parabola
-    shifted by delta_t.  Its character classifies the intersection:
-    +1 two points, 0 tangent, -1 disjoint."""
-    _same_modulus(a, b, delta_t)
-    d = a - b
-    return d * d - 4 * delta_t
 
 
 def line_parabola_intersections(line: Line, parabola: ParabolaSpec) -> tuple[AffinePoint, ...]:

@@ -5,7 +5,8 @@ lexicographically with no duplicates, and isolated vertices are first-class
 (n is stored, not inferred).  The text format is line oriented:
 
     # free-form comments, only before the header
-    # vertex <id> <origin> <x> <y>    (optional provenance)
+    # modulus <p>                     (optional provenance: the field,
+    # vertex <id> <origin> <x> <y>    then one plane point per vertex)
     n m
     a b c        (m lines, each ascending, list sorted, trailing newline)
 
@@ -14,7 +15,8 @@ them edge by edge only to name the first offender.  decode hands an edge
 body in encode's exact form to that one check after a bulk parse; any
 other body is read line by line, so errors carry its line numbers.
 Linearity (every vertex pair in at most one edge) is checked in O(m) via
-pair occupancy.  Densities are exact rationals.
+pair occupancy.  Densities are exact rationals.  Provenance is plain
+integers: each vertex's origin and its point (x, y) as residues in [0, p).
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from fractions import Fraction
 from itertools import islice
 from operator import lt
 
-from .ffield import FieldElement, Prime
-from .geometry import AffinePoint
+from .ffield import is_prime
 
 __all__ = [
     "FormatError",
@@ -151,31 +152,32 @@ def min_degree(h: Hypergraph3) -> int:
 
 @dataclass(frozen=True)
 class VertexInfo:
-    """Provenance of one vertex: which point set it came from, the defining
-    parameter, and the plane point itself."""
+    """Provenance of one vertex: which point set it came from and its plane
+    point (x, y), both coordinates residues mod the map's modulus."""
 
     origin: str
-    x: FieldElement
-    point: AffinePoint
+    x: int
+    y: int
 
     def __post_init__(self) -> None:
         if self.origin not in ORIGINS:
             raise ValueError(f"unknown origin {self.origin!r}")
-        if self.x != self.point.x:
-            raise ValueError("parameter must equal the point's x coordinate")
 
 
 @dataclass(frozen=True)
 class VertexMap:
-    """Vertex id -> provenance, id given by position.  Points are distinct,
-    so the map is a bijection onto the recorded points."""
+    """Vertex id -> provenance over F_modulus, id given by position.  Points
+    are distinct, so the map is a bijection onto the recorded points."""
 
+    modulus: int
     entries: tuple[VertexInfo, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
-        pts = {info.point for info in self.entries}
-        if len(pts) != len(self.entries):
+        q = self.modulus
+        if not all(0 <= info.x < q and 0 <= info.y < q for info in self.entries):
+            raise ValueError(f"vertex map coordinates must lie in [0, {q})")
+        if len({(info.x, info.y) for info in self.entries}) != len(self.entries):
             raise ValueError("vertex map points must be distinct")
 
     def __len__(self) -> int:
@@ -183,12 +185,6 @@ class VertexMap:
 
     def __getitem__(self, i: int) -> VertexInfo:
         return self.entries[i]
-
-    @property
-    def modulus(self) -> int:
-        if not self.entries:
-            raise ValueError("empty vertex map has no modulus")
-        return self.entries[0].point.modulus.value
 
 
 def encode(h: Hypergraph3, vertex_map: VertexMap | None = None) -> str:
@@ -205,9 +201,7 @@ def encode(h: Hypergraph3, vertex_map: VertexMap | None = None) -> str:
             )
         lines.append(f"# modulus {vertex_map.modulus}")
         for i, info in enumerate(vertex_map.entries):
-            lines.append(
-                f"# vertex {i} {info.origin} {info.point.x.residue} {info.point.y.residue}"
-            )
+            lines.append(f"# vertex {i} {info.origin} {info.x} {info.y}")
     lines.append(f"{h.n} {len(h.edges)}")
     for a, b, c in h.edges:
         lines.append(f"{a} {b} {c}")
@@ -245,9 +239,9 @@ def _canonical_body(text: str, start: int, n: int, m: int) -> Hypergraph3 | None
     if text.count("\n", start) != m or not _CANONICAL_BODY.fullmatch(text, start):
         return None
     tokens = text[start:].split()
-    value = {t: int(t) for t in set(tokens)}  # each distinct id parsed once
-    ids = map(value.__getitem__, tokens)
-    try:
+    try:  # int() refuses ids longer than Python's digit limit
+        value = {t: int(t) for t in set(tokens)}  # each distinct id parsed once
+        ids = map(value.__getitem__, tokens)
         return Hypergraph3(n, tuple(zip(ids, ids, ids)))
     except ValueError:
         return None
@@ -303,6 +297,7 @@ def _parse(text: str, want_provenance: bool) -> tuple[Hypergraph3, VertexMap | N
 
     lineno = 0
     modulus: int | None = None
+    modulus_line = 0
     vertex_lines: list[tuple[int, int, str, int, int]] = []
     header: tuple[int, int] | None = None
     idx = 0
@@ -317,6 +312,7 @@ def _parse(text: str, want_provenance: bool) -> tuple[Hypergraph3, VertexMap | N
                     if len(tokens) != 3:
                         raise FormatError("malformed modulus comment", lineno)
                     modulus = _parse_int(tokens[2], "modulus", lineno)
+                    modulus_line = lineno
                 elif len(tokens) >= 2 and tokens[1] == "vertex":
                     if len(tokens) != 6:
                         raise FormatError("malformed vertex comment", lineno)
@@ -346,11 +342,10 @@ def _parse(text: str, want_provenance: bool) -> tuple[Hypergraph3, VertexMap | N
 
     if modulus is None:
         raise FormatError("vertex comments without a modulus comment", vertex_lines[0][0])
-    try:
-        prime = Prime(modulus)
-    except ValueError:
-        raise FormatError(f"modulus {modulus} is not an odd prime", 1) from None
+    if modulus % 2 == 0 or not is_prime(modulus):
+        raise FormatError(f"modulus {modulus} is not an odd prime", modulus_line)
     by_id: dict[int, VertexInfo] = {}
+    points: set[tuple[int, int]] = set()
     for lno, vid, origin, x, y in vertex_lines:
         if vid in by_id:
             raise FormatError(f"duplicate vertex comment for id {vid}", lno)
@@ -358,9 +353,12 @@ def _parse(text: str, want_provenance: bool) -> tuple[Hypergraph3, VertexMap | N
             raise FormatError(f"vertex comment id {vid} out of range", lno)
         if origin not in ORIGINS:
             raise FormatError(f"unknown origin {origin!r}", lno)
-        point = AffinePoint(prime(x), prime(y))
-        by_id[vid] = VertexInfo(origin, point.x, point)
+        if not (0 <= x < modulus and 0 <= y < modulus):
+            raise FormatError(f"point ({x}, {y}) is not reduced mod {modulus}", lno)
+        if (x, y) in points:
+            raise FormatError(f"point ({x}, {y}) already belongs to another vertex", lno)
+        points.add((x, y))
+        by_id[vid] = VertexInfo(origin, x, y)
     if len(by_id) != n:
         raise FormatError(f"vertex comments cover {len(by_id)} of {n} vertices", 1)
-    vmap = VertexMap(tuple(by_id[i] for i in range(n)))
-    return h, vmap
+    return h, VertexMap(modulus, tuple(by_id[i] for i in range(n)))

@@ -13,19 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
-
-from .rng import sample_distinct, splitmix64_stream
+from math import ceil, comb
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
     "LemmaInstance",
     "CoverageResult",
     "expected_coverage",
+    "half_family_expectation",
     "lemma_bound",
     "coverage",
     "best_subset",
-    "best_subset_sampled",
     "delta_check",
     "analyze",
 ]
@@ -51,7 +49,7 @@ def _norm_pairs(N: int, H) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class LemmaInstance:
-    """Ground set size N, sample size k (default floor(N/2)), pair family H."""
+    """Ground set size N, sample size k, pair family H."""
 
     N: int
     k: int
@@ -63,15 +61,6 @@ class LemmaInstance:
         if not 0 <= self.k <= self.N:
             raise ValueError(f"k must lie in [0, N], got {self.k}")
         object.__setattr__(self, "H", _norm_pairs(self.N, self.H))
-
-    @classmethod
-    def with_default_k(cls, N: int, H) -> "LemmaInstance":
-        return cls(N, N // 2, H)
-
-    @property
-    def is_exact_half(self) -> bool:
-        """Whether |H| is exactly half of all pairs (needs N = 0, 1 mod 4)."""
-        return 2 * len(self.H) == comb(self.N, 2)
 
 
 @dataclass(frozen=True)
@@ -92,14 +81,19 @@ def expected_coverage(N: int, k: int, H) -> Fraction:
     return len(inst.H) * (1 - miss)
 
 
-def lemma_bound(N: int) -> int:
-    """ceil((2kN - k^2 - k)/4) with k = floor(N/2): the hit count some
-    k-subset attains when H is an exact half family."""
+def half_family_expectation(N: int) -> Fraction:
+    """(2kN - k^2 - k)/4 with k = floor(N/2): expected_coverage(N, k, H) for
+    any exact half family H, |H| = C(N, 2)/2."""
     if N < 2:
         raise ValueError(f"N must be at least 2, got {N}")
     k = N // 2
-    v = 2 * k * N - k * k - k
-    return -(-v // 4)
+    return Fraction(2 * k * N - k * k - k, 4)
+
+
+def lemma_bound(N: int) -> int:
+    """The ceiling of half_family_expectation(N): the hit count some
+    k-subset attains when H is an exact half family."""
+    return ceil(half_family_expectation(N))
 
 
 def coverage(S, H) -> int:
@@ -111,12 +105,11 @@ def coverage(S, H) -> int:
 def best_subset(N: int, k: int, H) -> tuple[tuple[int, ...], int]:
     """Exhaustive maximizer of coverage over all k-subsets of [N]; ties go
     to the lexicographically least subset.  N beyond EXHAUSTIVE_LIMIT is
-    refused; use best_subset_sampled there."""
+    refused."""
     inst = LemmaInstance(N, k, tuple(H))
     if N > EXHAUSTIVE_LIMIT:
         raise ValueError(
-            f"N={N} is too large for exhaustive search (limit "
-            f"{EXHAUSTIVE_LIMIT}); use best_subset_sampled"
+            f"N={N} is too large for exhaustive search (limit {EXHAUSTIVE_LIMIT})"
         )
     best_s: tuple[int, ...] = ()
     best_c = -1
@@ -127,35 +120,12 @@ def best_subset(N: int, k: int, H) -> tuple[tuple[int, ...], int]:
     return best_s, best_c
 
 
-def best_subset_sampled(
-    N: int, k: int, H, trials: int = 1000, seed: int = 0
-) -> tuple[tuple[int, ...], int]:
-    """Empirical maximizer over seeded random k-subsets.  Reports the best
-    subset seen; makes no claim of optimality."""
-    inst = LemmaInstance(N, k, tuple(H))
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    seeds = splitmix64_stream(seed)
-    best_s: tuple[int, ...] = ()
-    best_c = -1
-    for _ in range(trials):
-        S = tuple(sorted(sample_distinct(N, k, next(seeds))))
-        c = coverage(S, inst.H)
-        if c > best_c or (c == best_c and S < best_s):
-            best_s, best_c = S, c
-    return best_s, best_c
-
-
 def delta_check(N: int) -> tuple[Fraction, bool]:
-    """The normalized ceiling gap delta_N = (ceil(v/4) - v/4) / (N+k)^2
-    with k = floor(N/2), v = 2kN - k^2 - k, and whether it satisfies
-    delta_N <= 4 / (9 N^2)."""
-    if N < 2:
-        raise ValueError(f"N must be at least 2, got {N}")
-    k = N // 2
-    v = Fraction(2 * k * N - k * k - k)
-    gap = lemma_bound(N) - v / 4
-    delta = gap / (N + k) ** 2
+    """The normalized ceiling gap delta_N = (ceil(E) - E) / (N+k)^2 with
+    k = floor(N/2), E = half_family_expectation(N), and whether it
+    satisfies delta_N <= 4 / (9 N^2)."""
+    expectation = half_family_expectation(N)
+    delta = (ceil(expectation) - expectation) / (N + N // 2) ** 2
     return delta, delta <= Fraction(4, 9 * N * N)
 
 

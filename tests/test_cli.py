@@ -263,6 +263,27 @@ def test_truncated_file_is_a_parse_error(tmp_path):
     assert "parse error" in proc.stderr
 
 
+def test_over_long_vertex_id_is_a_parse_error(tmp_path):
+    # more digits than int() accepts by default: the line loop must name it
+    (tmp_path / "long.hg3").write_text("3 1\n0 1 " + "9" * 5000 + "\n")
+    proc = run(("verify", "--in", "long.hg3"), tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("parse error: line 2:"), proc.stderr[:200]
+    assert_clean_stderr(proc)
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    from gridfree import cli
+
+    def broken(p):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "build_base", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["construct", "base", "--p", "5"])
+
+
 def test_census_skips_non_primes_in_range(tmp_path):
     proc = run(("census", "--p", "8..12"), tmp_path)
     assert proc.returncode == 0

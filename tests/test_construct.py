@@ -8,6 +8,7 @@ from gridfree import (
     ConstructionReport,
     InvalidPrimeError,
     Prime,
+    VertexInfo,
     build_base,
     build_qr,
     build_random,
@@ -16,7 +17,6 @@ from gridfree import (
     density_ratio,
     is_linear,
     legendre,
-    optimal_rho,
 )
 from gridfree.construct import GENERATOR, SELECTION_RULE, select_subset
 
@@ -61,15 +61,9 @@ def test_base_vertex_map_layout():
     _, vmap, _ = build_base(p)
     assert len(vmap) == 2 * p
     for i in range(p):
-        info = vmap[i]
-        assert info.origin == "V1"
-        assert info.x.residue == i
-        assert info.point.y == info.point.x * info.point.x
-    for i in range(p):
-        info = vmap[p + i]
-        assert info.origin == "V2"
-        assert info.x.residue == i
-        assert info.point.y.residue == (i * i + 1) % p
+        assert vmap[i] == VertexInfo("V1", i, i * i % p)
+        assert vmap[p + i] == VertexInfo("V2", i, (i * i + 1) % p)
+    assert vmap.modulus == p
 
 
 def test_two_point_secant_counts():
@@ -161,7 +155,7 @@ def test_random_edges_match_geometric_recount():
         assert is_linear(hr)
         pool = select_subset(p, 1, 2, seed)
         assert rep.selection_size == len(pool)
-        assert [vmap[p + i].x.residue for i in range(len(pool))] == pool
+        assert [vmap[p + i].x for i in range(len(pool))] == pool
         assert all(vmap[p + i].origin == "S-of-V2" for i in range(len(pool)))
         pool_rank = {x: p + i for i, x in enumerate(pool)}
         want = []
@@ -214,7 +208,7 @@ def test_qr_small_instance_exactly():
     assert (h.n, h.m) == (8, 3)
     assert h.edges == ((0, 5, 6), (1, 6, 7), (2, 4, 5))
     assert [vmap[i].origin for i in range(3)] == ["S-of-V1"] * 3
-    assert [vmap[i].x.residue for i in range(3)] == [0, 1, 4]
+    assert [vmap[i].x for i in range(3)] == [0, 1, 4]
     assert [vmap[i].origin for i in range(3, 8)] == ["V2"] * 5
     assert rep.kind == "qr"
     assert rep.selection_size == 3
@@ -267,12 +261,12 @@ def test_density_ratio_exact_values():
         density_ratio(-1)
 
 
-def test_optimal_rho_is_one_half():
-    best = optimal_rho()
-    assert best == Fraction(1, 2)
-    peak = density_ratio(best)
-    for k in range(0, 101):
-        assert density_ratio(Fraction(k, 100)) <= peak
+def test_density_ratio_peaks_at_one_half():
+    # density_ratio(rho) - 1/12 = -(2 rho - 1)^2 / (12 (1 + rho)^2) <= 0
+    for k in range(1001):
+        rho = Fraction(k, 1000)
+        gap = -(2 * rho - 1) ** 2 / (12 * (1 + rho) ** 2)
+        assert density_ratio(rho) - Fraction(1, 12) == gap
 
 
 def test_report_invariants():
@@ -283,24 +277,14 @@ def test_report_invariants():
         "predicted_m", "two_point_secants", "selection_size", "seed",
     ]
     assert (d["density_num"], d["density_den"]) == (1, 20)
-    assert rep.density_decimal() == "0.05"
-    assert build_base(7)[2].density_decimal() == "0.0714285714286"
+    qr = build_qr(7)[2]
+    assert (qr.density, qr.chi_minus_1, qr.predicted_m) == (Fraction(6, 121), -1, None)
 
     with pytest.raises(ValueError):
-        ConstructionReport(p=5, kind="nope", n=1, m=0, density=Fraction(0),
-                           chi_minus_1=1, predicted_m=None, two_point_secants=0,
+        ConstructionReport(p=5, kind="nope", n=1, m=0, two_point_secants=0,
                            selection_size=None, seed=None)
     with pytest.raises(ArithmeticError):
-        ConstructionReport(p=5, kind="base", n=10, m=5, density=Fraction(1, 21),
-                           chi_minus_1=1, predicted_m=5, two_point_secants=0,
-                           selection_size=None, seed=None)
-    with pytest.raises(ArithmeticError):
-        ConstructionReport(p=5, kind="base", n=10, m=6, density=Fraction(6, 100),
-                           chi_minus_1=1, predicted_m=5, two_point_secants=0,
-                           selection_size=None, seed=None)
-    with pytest.raises(ValueError):
-        ConstructionReport(p=5, kind="base", n=10, m=5, density=Fraction(1, 20),
-                           chi_minus_1=2, predicted_m=5, two_point_secants=0,
+        ConstructionReport(p=5, kind="base", n=10, m=6, two_point_secants=0,
                            selection_size=None, seed=None)
 
 

@@ -8,8 +8,6 @@ import oracles
 from gridfree import (
     FormatError,
     Hypergraph3,
-    ParabolaSpec,
-    Prime,
     VertexInfo,
     VertexMap,
     build_base,
@@ -176,19 +174,31 @@ def test_provenance_reconstruction_errors():
     assert "cover 1 of 3" in str(exc.value)
     # plain decode ignores the same comments
     assert decode("# modulus 7\n# vertex 0 V1 0 0\n3 1\n0 1 2\n").m == 1
+    head = "# modulus 7\n# vertex 0 V1 0 0\n"
+    tail = "# vertex 2 V2 3 3\n3 1\n0 1 2\n"
+    # coordinates must already be reduced: 9 -3 is not read as 2 4
+    with pytest.raises(FormatError) as exc:
+        decode_with_provenance(head + "# vertex 1 V1 9 -3\n" + tail)
+    assert exc.value.line == 3 and "not reduced mod 7" in str(exc.value)
+    with pytest.raises(FormatError) as exc:
+        decode_with_provenance(head + "# vertex 1 V2 0 0\n" + tail)
+    assert exc.value.line == 3 and "already belongs to another vertex" in str(exc.value)
+    with pytest.raises(FormatError) as exc:
+        decode_with_provenance("# built by hand\n# modulus 9\n# vertex 0 V1 0 0\n1 0\n")
+    assert exc.value.line == 2 and "not an odd prime" in str(exc.value)
 
 
 def test_vertex_info_validation():
-    F7 = Prime(7)
-    par = ParabolaSpec(F7(0))
-    info = VertexInfo("V1", F7(2), par.point_at(2))
+    info = VertexInfo("V1", 2, 4)
     with pytest.raises(ValueError):
-        VertexInfo("V9", F7(2), par.point_at(2))
+        VertexInfo("V9", 2, 4)
     with pytest.raises(ValueError):
-        VertexInfo("V1", F7(3), par.point_at(2))
+        VertexMap(7, (info, info))
     with pytest.raises(ValueError):
-        VertexMap((info, info))
-    vm = VertexMap((info, VertexInfo("V2", F7(2), ParabolaSpec(F7(1)).point_at(2))))
+        VertexMap(7, (VertexInfo("V1", 9, 4),))
+    with pytest.raises(ValueError):
+        VertexMap(7, (VertexInfo("V1", 2, -3),))
+    vm = VertexMap(7, (info, VertexInfo("V2", 2, 5)))
     assert len(vm) == 2
     assert vm[0] is info
     assert vm.modulus == 7

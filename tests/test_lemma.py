@@ -10,10 +10,10 @@ from gridfree import (
     LemmaInstance,
     analyze,
     best_subset,
-    best_subset_sampled,
     coverage,
     delta_check,
     expected_coverage,
+    half_family_expectation,
     lemma_bound,
 )
 from gridfree.lemma import EXHAUSTIVE_LIMIT
@@ -49,6 +49,7 @@ def test_lemma_bound_values():
         assert lemma_bound(n) == w
         k = n // 2
         v = Fraction(2 * k * n - k * k - k, 4)
+        assert half_family_expectation(n) == v
         assert lemma_bound(n) == -(-v.numerator // v.denominator)
     with pytest.raises(ValueError):
         lemma_bound(1)
@@ -68,8 +69,8 @@ def test_exact_half_instances_attain_the_bound():
     for n in (4, 5, 8, 9, 12, 13):
         for seed in range(5):
             fam = exact_half_family(random.Random(10 * n + seed), n)
-            inst = LemmaInstance.with_default_k(n, fam)
-            assert inst.is_exact_half
+            assert 2 * len(fam) == comb(n, 2)
+            assert expected_coverage(n, n // 2, fam) == half_family_expectation(n)
             subset, cov = best_subset(n, n // 2, fam)
             assert cov >= lemma_bound(n)
             assert coverage(subset, fam) == cov
@@ -96,21 +97,8 @@ def test_best_subset_is_exhaustive_and_lex_least():
 
 
 def test_best_subset_refuses_large_n():
-    with pytest.raises(ValueError, match="best_subset_sampled"):
+    with pytest.raises(ValueError, match="too large for exhaustive search"):
         best_subset(EXHAUSTIVE_LIMIT + 1, 8, ())
-
-
-def test_sampled_search_is_deterministic_and_below_optimum():
-    fam = exact_half_family(random.Random(1), 8)
-    s1 = best_subset_sampled(8, 4, fam, trials=50, seed=3)
-    s2 = best_subset_sampled(8, 4, fam, trials=50, seed=3)
-    assert s1 == s2
-    _, exact = best_subset(8, 4, fam)
-    assert s1[1] <= exact
-    _, big = best_subset_sampled(8, 4, fam, trials=500, seed=3)
-    assert big <= exact
-    with pytest.raises(ValueError):
-        best_subset_sampled(8, 4, fam, trials=0)
 
 
 def test_instance_validation():
@@ -128,8 +116,6 @@ def test_instance_validation():
         LemmaInstance(4, 2, ((0, 1, 2),))
     inst = LemmaInstance(4, 2, ((3, 1), (0, 2)))
     assert inst.H == ((0, 2), (1, 3))
-    assert LemmaInstance.with_default_k(5, ()).k == 2
-    assert not LemmaInstance(4, 2, ((0, 1),)).is_exact_half
 
 
 def test_coverage_counts_hits():
