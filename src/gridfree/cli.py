@@ -5,11 +5,13 @@ report embeds a manifest (command, parameters, seed, version, inputs,
 outputs) so identical invocations produce byte-identical output; wall-clock
 timing goes to stderr, never into the reports.  Exit codes: 0 success,
 1 a contracted identity or requested check failed, 2 usage or parse error.
+Each command runs with the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -470,6 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The commands build large acyclic tuple structures that reference
+    # counting frees; cyclic collections would only rescan them.
+    collecting = gc.isenabled()
+    gc.disable()
     start = time.perf_counter()
     try:
         code = args.func(args)
@@ -483,6 +489,8 @@ def main(argv=None) -> int:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     finally:
+        if collecting:
+            gc.enable()
         elapsed = time.perf_counter() - start
         print(f"gridfree: {elapsed:.3f}s elapsed", file=sys.stderr)
     return code

@@ -235,10 +235,17 @@ def build_qr(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionReport
     triples, two_point = _sweep(pv, 4, squares, 0)
     # The S vertex is each edge's least id: one bucket per S vertex, each
     # filled in ascending (a, b) order, concatenates to the canonical order.
+    # Buckets hold plain ints and each edge tuple is made once, in that
+    # order, so the edge list is laid out in memory as it is later walked.
     buckets = [[] for _ in range(s_size)]
     for a, b, w in triples:
-        buckets[w].append((w, s_size + a, s_size + b))
-    h = Hypergraph3(s_size + pv, [e for bucket in buckets for e in bucket])
+        buckets[w] += (a, b)
+    del triples
+    edges = []
+    for w, bucket in enumerate(buckets):
+        ab = iter(bucket)
+        edges += [(w, s_size + a, s_size + b) for a, b in zip(ab, ab)]
+    h = Hypergraph3(s_size + pv, edges)
     vmap = VertexMap(pv, [VertexInfo("S-of-V1", x, x * x % pv) for x in squares]
                      + [VertexInfo("V2", x, (x * x + 1) % pv) for x in range(pv)])
     return h, vmap, ConstructionReport(pv, "qr", h.n, h.m, two_point, s_size, None)

@@ -20,6 +20,9 @@ linear host.  It certifies base p = 101 (m = 2525) grid-free in seconds.
 
 The searches are exhaustive and return deterministic, lexicographically
 least witnesses.  find_small_two_core stays exponential in principle.
+Each search and two_core first relabels the covered vertices in ascending
+order, so per-vertex tables and bit masks follow the edges, not the vertex
+count a file's header declares.
 """
 
 from __future__ import annotations
@@ -132,11 +135,19 @@ class CoreWitness:
         }
 
 
-def _masks(h: Hypergraph3) -> list[int]:
-    out = []
-    for a, b, c in h.edges:
-        out.append((1 << a) | (1 << b) | (1 << c))
-    return out
+def _covered(h: Hypergraph3) -> Hypergraph3:
+    """h on the vertices its edges cover, relabelled by ascending id.
+
+    The relabelling is increasing, so every edge keeps its index and its
+    vertex order, and a search on the result finds the same edge indices.
+    Per-vertex tables and bit masks built on it scale with the edges, not
+    with the vertex count a header declares.
+    """
+    covered = sorted({v for e in h.edges for v in e})
+    if len(covered) == h.n:
+        return h
+    rank = {v: i for i, v in enumerate(covered)}
+    return Hypergraph3(len(covered), [(rank[a], rank[b], rank[c]) for a, b, c in h.edges])
 
 
 def _least_configuration(h: Hypergraph3, kind: str) -> tuple | None:
@@ -159,6 +170,7 @@ def _least_configuration(h: Hypergraph3, kind: str) -> tuple | None:
     with the anchor's side as rows for a grid, the sorted six edge indices
     for a prism.
     """
+    h = _covered(h)
     edges = h.edges
     incident: list[list[int]] = [[] for _ in range(h.n)]
     pairs: dict[tuple[int, int], list[int]] = {}
@@ -258,6 +270,7 @@ def two_core(h: Hypergraph3) -> Hypergraph3:
     relabelled by ascending original id, so the result is a standalone
     hypergraph of minimum degree >= 2 (possibly with zero vertices).
     Peeling is confluent, so the removal order cannot matter."""
+    h = _covered(h)  # isolated vertices are peeled anyway
     deg = degrees(h)
     alive = [True] * len(h.edges)
     incident: list[list[int]] = [[] for _ in range(h.n)]
@@ -296,12 +309,13 @@ def find_small_two_core(h: Hypergraph3, max_vertices: int = 9) -> CoreWitness | 
     """
     if not 4 <= max_vertices <= 10:
         raise ValueError(f"max_vertices must be in [4, 10], got {max_vertices}")
-    m = len(h.edges)
-    masks = _masks(h)
+    edges = _covered(h).edges  # vertex ranks: masks stay under 3m bits
+    m = len(edges)
+    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in edges]
     # Highest edge index covering each vertex: lets the search drop any
     # branch whose degree-1 vertex can never be healed by a later edge.
     last_with: dict[int, int] = {}
-    for ei, e in enumerate(h.edges):
+    for ei, e in enumerate(edges):
         for v in e:
             last_with[v] = ei
     deg: dict[int, int] = {}
@@ -317,7 +331,7 @@ def find_small_two_core(h: Hypergraph3, max_vertices: int = 9) -> CoreWitness | 
                 if nv > max_vertices:
                     continue
             chosen.append(ei)
-            for v in h.edges[ei]:
+            for v in edges[ei]:
                 deg[v] = deg.get(v, 0) + 1
             if all(d >= 2 for d in deg.values()):
                 return True
@@ -326,7 +340,7 @@ def find_small_two_core(h: Hypergraph3, max_vertices: int = 9) -> CoreWitness | 
             )
             if fixable and dfs(ei, new_union, nv):
                 return True
-            for v in h.edges[ei]:
+            for v in edges[ei]:
                 deg[v] -= 1
                 if deg[v] == 0:
                     del deg[v]

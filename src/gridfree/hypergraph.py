@@ -11,9 +11,13 @@ lexicographically with no duplicates, and isolated vertices are first-class
     a b c        (m lines, each ascending, list sorted, trailing newline)
 
 The constructor checks all of this in one pass over the edges and walks
-them edge by edge only to name the first offender.  decode hands an edge
-body in encode's exact form to that one check after a bulk parse; any
-other body is read line by line, so errors carry its line numbers.
+them edge by edge only to name the first offender.  encode formats edge
+lines from a table of id strings that stops at the largest id on an edge,
+so each id is converted once.  decode hands an edge body in encode's exact
+form to that one check after a bulk parse; any other body is read line by
+line, so errors carry its line numbers.  Hypergraphs are one tuple per
+edge with no reference cycles, so the CLI runs each command with the
+cyclic garbage collector paused and reference counting frees them.
 Linearity (every vertex pair in at most one edge) is checked in O(m) via
 pair occupancy.  Densities are exact rationals.  Provenance is plain
 integers: each vertex's origin and its point (x, y) as residues in [0, p).
@@ -25,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import lt
+from operator import itemgetter, lt
 
 from .ffield import is_prime
 
@@ -191,7 +195,9 @@ def encode(h: Hypergraph3, vertex_map: VertexMap | None = None) -> str:
     """Serialize to the text format; bit-stable for equal inputs.
 
     With a vertex map, provenance comments (`# modulus p`, then one
-    `# vertex id origin x y` per vertex) precede the header.
+    `# vertex id origin x y` per vertex) precede the header.  Edge lines
+    take each id's text from a table over 0..(largest id on an edge), so
+    isolated vertices above that id cost nothing however large n is.
     """
     lines = []
     if vertex_map is not None:
@@ -203,8 +209,9 @@ def encode(h: Hypergraph3, vertex_map: VertexMap | None = None) -> str:
         for i, info in enumerate(vertex_map.entries):
             lines.append(f"# vertex {i} {info.origin} {info.x} {info.y}")
     lines.append(f"{h.n} {len(h.edges)}")
-    for a, b, c in h.edges:
-        lines.append(f"{a} {b} {c}")
+    top = max(map(itemgetter(2), h.edges), default=-1)
+    name = list(map(str, range(top + 1)))
+    lines += [f"{name[a]} {name[b]} {name[c]}" for a, b, c in h.edges]
     return "\n".join(lines) + "\n"
 
 

@@ -32,6 +32,20 @@ GRID_CANON = ((0, 1, 2), (0, 3, 6), (1, 4, 7), (2, 5, 8), (3, 4, 5), (6, 7, 8))
 PRISM_CANON = ((0, 1, 2), (0, 3, 6), (1, 4, 5), (2, 5, 8), (3, 4, 7), (6, 7, 8))
 
 
+def encode_by_lines(h: Hypergraph3, vertex_map=None) -> str:
+    """The .hg3 text built one formatted line per vertex comment and per
+    edge, with no id table."""
+    lines = []
+    if vertex_map is not None:
+        lines.append(f"# modulus {vertex_map.modulus}")
+        for i, info in enumerate(vertex_map.entries):
+            lines.append(f"# vertex {i} {info.origin} {info.x} {info.y}")
+    lines.append(f"{h.n} {len(h.edges)}")
+    for a, b, c in h.edges:
+        lines.append(f"{a} {b} {c}")
+    return "\n".join(lines) + "\n"
+
+
 def sqrt_scan(p: int, a: int) -> list[int]:
     """All y in [0, p) with y*y = a (mod p), by full scan."""
     a %= p

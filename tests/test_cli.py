@@ -1,5 +1,6 @@
 """End-to-end command tests: golden bytes, exit codes, determinism."""
 
+import gc
 import json
 import re
 import subprocess
@@ -282,6 +283,55 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "build_base", broken)
     with pytest.raises(ValueError, match="internal fault"):
         cli.main(["construct", "base", "--p", "5"])
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("case,code", [
+    ("ok", 0), ("violation", 1), ("parse-error", 2), ("usage", 2), ("internal", None),
+])
+def test_main_restores_the_collector_state(tmp_path, monkeypatch, capsys, collector, case, code):
+    from gridfree import cli
+
+    (tmp_path / "pair.hg3").write_text("4 2\n0 1 2\n0 1 3\n")
+    (tmp_path / "short.hg3").write_text("3 1\n0 1\n")
+    argv = {
+        "ok": ["construct", "base", "--p", "5", "--out", str(tmp_path / "base5.hg3")],
+        "violation": ["verify", "--in", str(tmp_path / "pair.hg3"), "--checks", "linear"],
+        "parse-error": ["verify", "--in", str(tmp_path / "short.hg3")],
+        "usage": ["construct", "base", "--p", "4"],
+        "internal": ["construct", "base", "--p", "5"],
+    }[case]
+    during = []
+    real_build_base = cli.build_base
+
+    def build_base(p):
+        during.append(gc.isenabled())
+        if case == "internal":
+            raise ValueError("internal fault")
+        return real_build_base(p)
+
+    monkeypatch.setattr(cli, "build_base", build_base)
+    if case == "internal":
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(argv)
+    elif case == "usage":
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+    else:
+        assert cli.main(argv) == code
+    assert gc.isenabled() is collector
+    assert during == ([False] if argv[0] == "construct" and case != "usage" else [])
+    if case == "ok":
+        assert (tmp_path / "base5.hg3").read_text().startswith("# modulus 5\n")
+    capsys.readouterr()
 
 
 def test_census_skips_non_primes_in_range(tmp_path):

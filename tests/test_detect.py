@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -241,3 +242,60 @@ def test_witness_json_shapes():
         "vertices": list(range(9)),
         "degrees": [2] * 9,
     }
+
+
+def _padded(h: Hypergraph3, rng: random.Random) -> tuple[Hypergraph3, list[int]]:
+    """h with isolated vertices inserted below, between and above its own,
+    and the increasing map from h's ids to the padded ones."""
+    ids, v = [], rng.randint(0, 5)
+    for _ in range(h.n):
+        ids.append(v)
+        v += 1 + rng.choice((0, 0, 1, 7, 1000))
+    n = v + rng.choice((0, 3, 10**5))
+    return Hypergraph3(n, [tuple(ids[u] for u in e) for e in h.edges]), ids
+
+
+def test_padding_with_isolated_vertices_keeps_every_witness():
+    h7, _, _ = build_base(7)
+    q7, _, _ = build_qr(7)
+    hosts = [grid_fixture(), prism_fixture(), pasch_fixture(), h7, q7, Hypergraph3(4, ())]
+    for i in range(12):
+        rng = random.Random(9000 + i)
+        plant = oracles.plant_grid if i % 2 else oracles.plant_prism
+        hosts.append(plant(rng, n_extra=rng.randint(0, 8), m_extra=rng.randint(0, 8)))
+        hosts.append(oracles.random_hypergraph(rng, 11, rng.randint(3, 12)))
+    for i, h in enumerate(hosts):
+        padded, ids = _padded(h, random.Random(i))
+        grid = find_grid(h)
+        found = find_grid(padded)
+        if grid is None:
+            assert found is None, i
+        else:
+            assert (found.rows, found.cols) == (grid.rows, grid.cols), i
+            assert found.vertices == tuple(ids[v] for v in grid.vertices), i
+        for find in (find_prism, lambda g: find_small_two_core(g, 9)):
+            core = find(h)
+            found = find(padded)
+            if core is None:
+                assert found is None, i
+            else:
+                assert (found.edges, found.degrees) == (core.edges, core.degrees), i
+                assert found.vertices == tuple(ids[v] for v in core.vertices), i
+        assert two_core(padded) == two_core(h), i
+
+
+@pytest.mark.parametrize("text", ["1000000 1\n0 1 999999\n", "300000 0\n"])
+def test_default_verify_memory_ignores_the_header_vertex_count(tmp_path, capsys, text):
+    from gridfree import cli
+
+    path = tmp_path / "sparse.hg3"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", "--in", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert '"ok":true' in capsys.readouterr().out
+    assert peak < 4 << 20, peak

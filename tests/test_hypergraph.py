@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -90,6 +91,48 @@ def test_encode_with_provenance_round_trips():
             assert h2 == h and vmap2 == vmap
             assert decode(text) == h
             assert encode(h2, vmap2) == text
+
+
+ENCODE_PRIMES = [p for p in range(5, 212, 2) if all(p % q for q in range(3, p, 2))]
+
+
+@pytest.mark.parametrize("p", ENCODE_PRIMES)
+def test_encode_matches_line_oracle(p):
+    builds = [build_base(p), build_qr(p)]
+    builds += [build_random(p, num, den, p) for num, den in ((0, 1), (2, 7), (1, 2), (1, 1))]
+    for h, vmap, _ in builds:
+        assert encode(h, vmap) == oracles.encode_by_lines(h, vmap)
+        assert encode(h) == oracles.encode_by_lines(h)
+
+
+def test_encode_edge_cases_match_line_oracle():
+    h5, vmap5, _ = build_base(5)
+    # the two top ids lie on no edge
+    top_isolated = Hypergraph3(h5.n, [e for e in h5.edges if e[2] < h5.n - 2])
+    assert top_isolated.m > 0
+    cases = [
+        (Hypergraph3(0, ()), None),
+        (Hypergraph3(7, ()), None),
+        (Hypergraph3(h5.n, ()), vmap5),
+        (top_isolated, None),
+        (top_isolated, vmap5),
+        (Hypergraph3(12, ((0, 1, 11),)), None),
+    ]
+    for h, vmap in cases:
+        assert encode(h, vmap) == oracles.encode_by_lines(h, vmap)
+        assert decode_with_provenance(encode(h, vmap)) == (h, vmap)
+
+
+def test_encode_memory_ignores_vertices_above_the_edges():
+    h = Hypergraph3(10**7, ((0, 1, 2),))
+    tracemalloc.start()
+    try:
+        text = encode(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "10000000 1\n0 1 2\n"
+    assert peak < 1 << 20, peak
 
 
 @given(st.data())
