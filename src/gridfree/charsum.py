@@ -23,11 +23,11 @@ tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .construct import _secant_offsets
 from .ffield import Prime, _as_prime, chi_table, legendre, min_sqrt_table
+from .record import Record
 
 __all__ = [
     "SecantCensus",
@@ -69,8 +69,7 @@ def delta_sum_check(p: Prime | int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SecantCensus:
+class SecantCensus(Record):
     """Distinct-line counts for one prime, with the closed-form comparison.
 
     matches records whether the enumerated total equals the closed form;
@@ -159,8 +158,7 @@ def closed_form_N(p: Prime | int) -> int:
     return (pv - 1) ** 2 // 16 + 2
 
 
-@dataclass(frozen=True)
-class ReciprocityResult:
+class ReciprocityResult(Record):
     """chi(2) and chi(-2) for one prime, with the mod 8 consistency flag."""
 
     p: int

@@ -26,7 +26,7 @@ from .charsum import delta_sum_check, gauss_sum_check, reciprocity_check, secant
 from .construct import build_base, build_qr, build_random
 from .detect import find_grid, find_prism, find_small_two_core
 from .ffield import InvalidPrimeError, Prime, is_prime
-from .geometry import ParabolaSpec, pascal_collinear
+from .geometry import pascal_meets_residues
 from .hypergraph import FormatError, decode, encode, is_linear
 from .lemma import (
     EXHAUSTIVE_LIMIT,
@@ -361,14 +361,12 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_pascal(args) -> int:
-    prime = Prime(args.p)
-    parabola = ParabolaSpec(prime(0))
+    p = args.p
     stream = splitmix64_stream(args.seed)
     failures = []
     for i in range(args.samples):
-        xs = sample_distinct(args.p, 6, next(stream))
-        hexagon = [parabola.point_at(x) for x in xs]
-        if not pascal_collinear(hexagon, parabola):
+        xs = sample_distinct(p, 6, next(stream))
+        if not pascal_meets_residues([(x, x * x % p, 1) for x in xs], p):
             failures.append({"sample": i, "xs": list(xs)})
     manifest = _manifest(
         command="pascal",

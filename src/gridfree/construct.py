@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ffield import Prime, _as_prime, chi_table, legendre, min_sqrt_table
 from .hypergraph import Hypergraph3, VertexInfo, VertexMap
+from .record import Record
 from .rng import bernoulli_threshold, splitmix64_stream
 
 __all__ = [
@@ -54,8 +54,7 @@ SELECTION_RULE = "smaller-x"
 GENERATOR = "splitmix64"
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(Record):
     """What was counted for one built instance; the rest is derived.
 
     two_point_secants counts the qualifying lines that offered two

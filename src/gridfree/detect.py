@@ -28,10 +28,10 @@ count a file's header declares.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 from .hypergraph import Hypergraph3, degrees
+from .record import Record
 
 __all__ = [
     "GridWitness",
@@ -62,8 +62,7 @@ def pasch_fixture() -> Hypergraph3:
     return Hypergraph3.from_edges(6, PASCH_EDGES)
 
 
-@dataclass(frozen=True)
-class GridWitness:
+class GridWitness(Record):
     """Edge indices of a found grid: rows and cols ascending, plus the nine
     covered vertex ids."""
 
@@ -100,8 +99,7 @@ class GridWitness:
         }
 
 
-@dataclass(frozen=True)
-class CoreWitness:
+class CoreWitness(Record):
     """An edge subset in which every covered vertex has degree >= 2.
 
     degrees is aligned with the sorted vertex tuple.

@@ -8,7 +8,7 @@ pure.  Mixing moduli is a hard error, never a silent coercion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 __all__ = [
     "InvalidPrimeError",
@@ -63,8 +63,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
+class Prime(Record):
     """An odd prime modulus p >= 3.
 
     The constructions additionally require p >= 5; the character-sum

@@ -5,14 +5,14 @@ y = x^2 + t, secants and where they meet a parabola, and a fully
 projective Pascal-hexagon collinearity check: each point is lifted to the
 residue triple (x, y, 1), and the sides, their opposite meets and the
 final determinant are computed in integers mod p, so parallel sides
-meeting at infinity need no special case.  The same check through ProjPoint objects is
-kept in tests/oracles.py as pascal_meets_by_objects.
+meeting at infinity need no special case.  The same check through
+projective point objects is kept in tests/oracles.py as
+pascal_meets_by_objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .ffield import (
     FieldElement,
@@ -21,17 +21,18 @@ from .ffield import (
     inv,
     sqrt_mod,
 )
+from .record import Record
 
 __all__ = [
     "DegenerateSecantError",
     "AffinePoint",
-    "ProjPoint",
     "Line",
     "ParabolaSpec",
     "secant_line",
     "line_parabola_intersections",
     "pascal_collinear",
     "pascal_meets_collinear",
+    "pascal_meets_residues",
 ]
 
 
@@ -49,8 +50,7 @@ def _same_modulus(*elements: FieldElement) -> Prime:
     return mod
 
 
-@dataclass(frozen=True)
-class AffinePoint:
+class AffinePoint(Record):
     """A point (x, y) of the affine plane over one fixed field."""
 
     x: FieldElement
@@ -64,43 +64,11 @@ class AffinePoint:
         return self.x.modulus
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """Homogeneous coordinates (X : Y : Z), not all zero, stored canonically
-    with the last nonzero coordinate scaled to 1 so equality and hashing
-    are well defined."""
-
-    X: FieldElement
-    Y: FieldElement
-    Z: FieldElement
-
-    def __post_init__(self) -> None:
-        _same_modulus(self.X, self.Y, self.Z)
-        coords = (self.X, self.Y, self.Z)
-        last = None
-        for c in reversed(coords):
-            if c.residue != 0:
-                last = c
-                break
-        if last is None:
-            raise ValueError("projective point needs a nonzero coordinate")
-        if last.residue != 1:
-            s = inv(last)
-            object.__setattr__(self, "X", self.X * s)
-            object.__setattr__(self, "Y", self.Y * s)
-            object.__setattr__(self, "Z", self.Z * s)
-
-    @classmethod
-    def from_affine(cls, point: AffinePoint) -> "ProjPoint":
-        return cls(point.x, point.y, FieldElement(1, point.modulus))
-
-
-@dataclass(frozen=True)
-class Line:
+class Line(Record):
     """Canonical affine line: y = m*x + c when m is not None, else x = c.
 
-    Both forms are unique per line, so dataclass equality and hashing give
-    exact deduplication.
+    Both forms are unique per line, so equal lines have equal fields, and
+    record equality and hashing give exact deduplication.
     """
 
     m: FieldElement | None
@@ -135,8 +103,7 @@ class Line:
         return point.y == self.m * point.x + self.c
 
 
-@dataclass(frozen=True)
-class ParabolaSpec:
+class ParabolaSpec(Record):
     """The conic {(x, x^2 + shift) : x in F_p} for one vertical shift."""
 
     shift: FieldElement
@@ -201,25 +168,31 @@ def _cross(u, v, p: int) -> tuple[int, int, int]:
     )
 
 
-def pascal_meets_collinear(points: Sequence[AffinePoint]) -> bool:
+def pascal_meets_residues(vecs: Sequence[tuple[int, int, int]], p: int) -> bool:
     """Whether the three opposite-side meets of the hexagon are collinear.
 
-    Hexagon A,B,C,D,E,F in the given order; sides AB..FA; the meets
-    AB^DE, BC^EF, CD^FA are computed projectively and tested with a 3x3
-    determinant.  No conic membership is assumed here; this is the bare
-    incidence computation, on the residue triples (x, y, 1) mod p.
+    Hexagon A,B,C,D,E,F in the given order, each point the residue triple
+    (x, y, 1) mod p; sides AB..FA; the meets AB^DE, BC^EF, CD^FA are
+    computed projectively and tested with a 3x3 determinant.  No conic
+    membership is assumed here; this is the bare incidence computation.
     """
-    pts = list(points)
-    if len(pts) != 6:
-        raise ValueError(f"exactly six points required, got {len(pts)}")
-    if len(set(pts)) != 6:
+    if len(vecs) != 6:
+        raise ValueError(f"exactly six points required, got {len(vecs)}")
+    if len(set(vecs)) != 6:
         raise ValueError("hexagon points must be pairwise distinct")
-    p = _same_modulus(*(q.x for q in pts)).value
-    vecs = [(q.x.residue, q.y.residue, 1) for q in pts]
     sides = [_cross(vecs[i], vecs[(i + 1) % 6], p) for i in range(6)]
     m1, m2, m3 = [_cross(sides[i], sides[i + 3], p) for i in range(3)]
     # det(m1, m2, m3) = m1 . (m2 x m3)
     return sum(a * b for a, b in zip(m1, _cross(m2, m3, p))) % p == 0
+
+
+def pascal_meets_collinear(points: Sequence[AffinePoint]) -> bool:
+    """pascal_meets_residues on the points' residue triples (x, y, 1)."""
+    pts = list(points)
+    if len(pts) != 6:
+        raise ValueError(f"exactly six points required, got {len(pts)}")
+    p = _same_modulus(*(q.x for q in pts)).value
+    return pascal_meets_residues([(q.x.residue, q.y.residue, 1) for q in pts], p)
 
 
 def pascal_collinear(

@@ -12,8 +12,8 @@ lexicographically with no duplicates, and isolated vertices are first-class
 
 The constructor checks all of this in one pass over the edges and walks
 them edge by edge only to name the first offender.  encode formats edge
-lines from a table of id strings that stops at the largest id on an edge,
-so each id is converted once.  decode hands an edge body in encode's exact
+lines from a table of id strings over the covered ids, so each id is
+converted once.  decode hands an edge body in encode's exact
 form to that one check after a bulk parse; any other body is read line by
 line, so errors carry its line numbers.  Hypergraphs are one tuple per
 edge with no reference cycles, so the CLI runs each command with the
@@ -26,12 +26,12 @@ integers: each vertex's origin and its point (x, y) as residues in [0, p).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter, lt
 
 from .ffield import is_prime
+from .record import Record
 
 __all__ = [
     "FormatError",
@@ -59,8 +59,7 @@ class FormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Hypergraph3:
+class Hypergraph3(Record):
     """A canonical 3-uniform hypergraph on vertices 0..n-1."""
 
     n: int
@@ -154,8 +153,7 @@ def min_degree(h: Hypergraph3) -> int:
     return min(degrees(h))
 
 
-@dataclass(frozen=True)
-class VertexInfo:
+class VertexInfo(Record):
     """Provenance of one vertex: which point set it came from and its plane
     point (x, y), both coordinates residues mod the map's modulus."""
 
@@ -168,8 +166,7 @@ class VertexInfo:
             raise ValueError(f"unknown origin {self.origin!r}")
 
 
-@dataclass(frozen=True)
-class VertexMap:
+class VertexMap(Record):
     """Vertex id -> provenance over F_modulus, id given by position.  Points
     are distinct, so the map is a bijection onto the recorded points."""
 
@@ -196,8 +193,10 @@ def encode(h: Hypergraph3, vertex_map: VertexMap | None = None) -> str:
 
     With a vertex map, provenance comments (`# modulus p`, then one
     `# vertex id origin x y` per vertex) precede the header.  Edge lines
-    take each id's text from a table over 0..(largest id on an edge), so
-    isolated vertices above that id cost nothing however large n is.
+    take each id's text from a table with at most 3m entries: a list over
+    0..(largest id on an edge) when that id is below 3m, as in builder
+    output, else a dict over the covered ids.  Isolated vertices cost
+    nothing however large n is.
     """
     lines = []
     if vertex_map is not None:
@@ -209,9 +208,13 @@ def encode(h: Hypergraph3, vertex_map: VertexMap | None = None) -> str:
         for i, info in enumerate(vertex_map.entries):
             lines.append(f"# vertex {i} {info.origin} {info.x} {info.y}")
     lines.append(f"{h.n} {len(h.edges)}")
-    top = max(map(itemgetter(2), h.edges), default=-1)
-    name = list(map(str, range(top + 1)))
-    lines += [f"{name[a]} {name[b]} {name[c]}" for a, b, c in h.edges]
+    edges = h.edges
+    top = max(map(itemgetter(2), edges), default=-1)
+    if top < 3 * len(edges):
+        name = list(map(str, range(top + 1)))
+    else:
+        name = {v: str(v) for v in set(chain.from_iterable(edges))}
+    lines += [f"{name[a]} {name[b]} {name[c]}" for a, b, c in edges]
     return "\n".join(lines) + "\n"
 
 

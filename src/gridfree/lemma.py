@@ -10,10 +10,11 @@ Everything here is integer or Fraction arithmetic, no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb
+
+from .record import Record
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -47,8 +48,7 @@ def _norm_pairs(N: int, H) -> tuple[tuple[int, int], ...]:
     return out
 
 
-@dataclass(frozen=True)
-class LemmaInstance:
+class LemmaInstance(Record):
     """Ground set size N, sample size k, pair family H."""
 
     N: int
@@ -63,8 +63,7 @@ class LemmaInstance:
         object.__setattr__(self, "H", _norm_pairs(self.N, self.H))
 
 
-@dataclass(frozen=True)
-class CoverageResult:
+class CoverageResult(Record):
     """Exact expectation, its ceiling bound, the optional exhaustive
     maximizer, and the normalized ceiling gap."""
 

@@ -8,7 +8,7 @@ against floor(num * 2^64 / den), which is exact.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

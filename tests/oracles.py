@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from gridfree import (
+    FieldElement,
     Hypergraph3,
+    MixedModulusError,
     ParabolaSpec,
     Prime,
-    ProjPoint,
     closed_form_N,
+    inv,
     legendre,
     line_parabola_intersections,
     secant_line,
@@ -246,6 +249,34 @@ def _det3(r1, r2, r3):
         - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
         + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0])
     )
+
+
+@dataclass(frozen=True)
+class ProjPoint:
+    """Homogeneous coordinates (X : Y : Z), not all zero, stored canonically
+    with the last nonzero coordinate scaled to 1 so equality and hashing
+    are well defined."""
+
+    X: FieldElement
+    Y: FieldElement
+    Z: FieldElement
+
+    def __post_init__(self) -> None:
+        coords = (self.X, self.Y, self.Z)
+        if len({c.modulus.value for c in coords}) != 1:
+            raise MixedModulusError("projective coordinates mix moduli")
+        last = next((c for c in reversed(coords) if c.residue != 0), None)
+        if last is None:
+            raise ValueError("projective point needs a nonzero coordinate")
+        if last.residue != 1:
+            s = inv(last)
+            object.__setattr__(self, "X", self.X * s)
+            object.__setattr__(self, "Y", self.Y * s)
+            object.__setattr__(self, "Z", self.Z * s)
+
+    @classmethod
+    def from_affine(cls, point) -> "ProjPoint":
+        return cls(point.x, point.y, FieldElement(1, point.modulus))
 
 
 def pascal_meets_by_objects(points) -> bool:

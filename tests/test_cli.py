@@ -349,3 +349,19 @@ def test_stdout_is_json_only(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["report"]["m"] == 33
     assert_clean_stderr(proc)
+
+
+def _loaded_modules(code, cwd):
+    """Names in sys.modules after running `code` in a CLI-like child."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(' '.join(sorted(sys.modules)))"],
+        cwd=cwd, env=child_env(), capture_output=True, text=True, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
+    bare = _loaded_modules("pass", tmp_path)
+    cli = _loaded_modules("import gridfree.cli", tmp_path)
+    assert "gridfree.cli" in cli and "gridfree.geometry" in cli
+    assert {"dataclasses", "inspect"} & (cli - bare) == set()

@@ -11,13 +11,13 @@ from gridfree import (
     MixedModulusError,
     ParabolaSpec,
     Prime,
-    ProjPoint,
     legendre,
     line_parabola_intersections,
     pascal_collinear,
     pascal_meets_collinear,
     secant_line,
 )
+from gridfree.geometry import pascal_meets_residues
 
 F7 = Prime(7)
 F13 = Prime(13)
@@ -30,12 +30,12 @@ def test_affine_point_rejects_mixed_moduli():
 
 def test_proj_point_canonicalizes():
     two = F7(2)
-    a = ProjPoint(two * F7(3), two * F7(5), two)
-    b = ProjPoint(F7(3), F7(5), F7(1))
+    a = oracles.ProjPoint(two * F7(3), two * F7(5), two)
+    b = oracles.ProjPoint(F7(3), F7(5), F7(1))
     assert a == b
     assert a.Z == F7(1)
     # point at infinity scales onto Y = 1
-    c = ProjPoint(F7(4), F7(2), F7(0))
+    c = oracles.ProjPoint(F7(4), F7(2), F7(0))
     assert c.Y == F7(1) and c.Z == F7(0)
     assert len({a, b}) == 1
 
@@ -43,12 +43,12 @@ def test_proj_point_canonicalizes():
 def test_proj_point_rejects_zero_vector():
     z = F7(0)
     with pytest.raises(ValueError):
-        ProjPoint(z, z, z)
+        oracles.ProjPoint(z, z, z)
 
 
 def test_proj_from_affine():
     pt = AffinePoint(F7(3), F7(2))
-    pp = ProjPoint.from_affine(pt)
+    pp = oracles.ProjPoint.from_affine(pt)
     assert (pp.X, pp.Y, pp.Z) == (F7(3), F7(2), F7(1))
 
 
@@ -228,3 +228,19 @@ def test_pascal_meets_reject_mixed_moduli():
     pts = [AffinePoint(F7(x), F7(x * x)) for x in range(5)]
     with pytest.raises(MixedModulusError):
         pascal_meets_collinear(pts + [AffinePoint(F13(5), F13(12))])
+
+
+def test_pascal_residue_core_on_conic_triples():
+    # the form cmd_pascal passes: (x, x^2 mod p, 1) for six sampled x
+    for p in (7, 13, 1009):
+        rng = random.Random(p)
+        for _ in range(50):
+            xs = rng.sample(range(p), 6)
+            vecs = [(x, x * x % p, 1) for x in xs]
+            assert pascal_meets_residues(vecs, p)
+            pts = [AffinePoint(Prime(p)(x), Prime(p)(y)) for x, y, _ in vecs]
+            assert oracles.pascal_meets_by_objects(pts)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        pascal_meets_residues([(x, x * x % 7, 1) for x in (0, 1, 2, 3, 4, 0)], 7)
+    with pytest.raises(ValueError, match="six points"):
+        pascal_meets_residues([(x, x * x % 7, 1) for x in range(5)], 7)

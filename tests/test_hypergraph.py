@@ -135,6 +135,32 @@ def test_encode_memory_ignores_vertices_above_the_edges():
     assert peak < 1 << 20, peak
 
 
+def test_encode_memory_follows_the_covered_ids():
+    h = Hypergraph3(10**6, ((0, 1, 10**6 - 1),))
+    tracemalloc.start()
+    try:
+        text = encode(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "1000000 1\n0 1 999999\n"
+    assert peak < 1 << 20, peak
+
+
+def test_encode_sparse_ids_match_line_oracle():
+    rng = random.Random(8)
+    sparse = 0
+    for n in (9, 40, 1000, 10**5):
+        for m in (1, 2, 5):
+            ids = rng.sample(range(n), 9)
+            edges = {tuple(sorted(rng.sample(ids, 3))) for _ in range(m)}
+            h = Hypergraph3.from_edges(n, edges)
+            sparse += max(e[2] for e in h.edges) >= 3 * h.m
+            assert encode(h) == oracles.encode_by_lines(h, None)
+            assert decode(encode(h)) == h
+    assert 0 < sparse < 12
+
+
 @given(st.data())
 def test_random_graph_round_trips(data):
     n = data.draw(st.integers(0, 12))
