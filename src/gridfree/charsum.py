@@ -24,6 +24,7 @@ tests/oracles.py.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 
 from .construct import _secant_offsets
 from .ffield import Prime, _as_prime, chi_table, legendre, min_sqrt_table
@@ -61,11 +62,15 @@ def delta_sum_check(p: Prime | int) -> int:
     chi = chi_table(pv)
     g = [chi[(u * u - 4) % pv] for u in range(pv)]
     sq = [x * x % pv for x in range(pv)]
-    # g[sa - sb] is g[(a^2 - b^2) mod p]: a negative index wraps by p.  The
-    # full square of pairs counts each of the p diagonal pairs as g[0].
+    # Row a gathers g[(a^2 - b^2) mod p] for every b in one call: in the
+    # doubled table, g2[a^2 + p - b^2] is that term, so the row is the fixed
+    # index set {p - b^2} applied to the slice of g2 that starts at a^2.
+    # The full square of pairs counts each of the p diagonal pairs as g[0].
+    g2 = g + g
+    row = itemgetter(*[pv - sb for sb in sq])
     total = -pv * g[0]
     for sa in sq:
-        total += sum([g[sa - sb] for sb in sq])
+        total += sum(row(g2[sa : sa + pv + 1]))
     return total
 
 

@@ -11,7 +11,6 @@ Everything here is integer or Fraction arithmetic, no floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, comb
 
 from .record import Record
@@ -104,18 +103,39 @@ def coverage(S, H) -> int:
 def best_subset(N: int, k: int, H) -> tuple[tuple[int, ...], int]:
     """Exhaustive maximizer of coverage over all k-subsets of [N]; ties go
     to the lexicographically least subset.  N beyond EXHAUSTIVE_LIMIT is
-    refused."""
+    refused.
+
+    The subsets are walked depth-first in lexicographic order with the
+    members as a bitmask: adding v covers deg[v] - |adj[v] & mask| new
+    pairs, so each step costs one popcount instead of a rescan of H.
+    """
     inst = LemmaInstance(N, k, tuple(H))
     if N > EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"N={N} is too large for exhaustive search (limit {EXHAUSTIVE_LIMIT})"
         )
+    adj = [0] * N
+    for a, b in inst.H:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    deg = [m.bit_count() for m in adj]
+    chosen: list[int] = []
     best_s: tuple[int, ...] = ()
     best_c = -1
-    for S in combinations(range(N), k):
-        c = coverage(S, inst.H)
-        if c > best_c:
-            best_s, best_c = S, c
+
+    def extend(start: int, mask: int, cov: int) -> None:
+        nonlocal best_s, best_c
+        left = k - len(chosen)
+        if left == 0:
+            if cov > best_c:
+                best_s, best_c = tuple(chosen), cov
+            return
+        for v in range(start, N - left + 1):
+            chosen.append(v)
+            extend(v + 1, mask | 1 << v, cov + deg[v] - (adj[v] & mask).bit_count())
+            chosen.pop()
+
+    extend(0, 0, 0)
     return best_s, best_c
 
 

@@ -34,12 +34,18 @@ def bernoulli_threshold(num: int, den: int) -> int:
 
 def sample_distinct(n: int, k: int, seed: int) -> tuple[int, ...]:
     """k distinct values from range(n), in draw order, via a partial
-    Fisher-Yates shuffle driven by splitmix64."""
+    Fisher-Yates shuffle driven by splitmix64.
+
+    The shuffle is sparse: moved holds only the positions a swap has
+    displaced, so a call costs O(k), not a copy of range(n).
+    """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    pool = list(range(n))
+    moved: dict[int, int] = {}
+    out = []
     stream = splitmix64_stream(seed)
     for i in range(k):
         j = i + next(stream) % (n - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return tuple(pool[:k])
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return tuple(out)

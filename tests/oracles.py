@@ -5,7 +5,10 @@ code with the package: full scans instead of closed forms, all-subsets
 enumeration instead of pruned search, random.Random instead of the package
 generator.  The exception is the object route, which keeps the fast
 paths' old FieldElement/geometry computations (the census and the Pascal
-meets) as references for the residue-integer versions.  Seeded generators
+meets) as references for the residue-integer versions, and the audit's
+plain loops (a coverage rescan per subset, a pool copy per draw, one
+comprehension per delta row) as references for the popcount search, the
+sparse shuffle and the gathered rows.  Seeded generators
 for random and planted instances also live here so the tests and the
 acceptance gate draw from the same well.
 """
@@ -20,16 +23,21 @@ from fractions import Fraction
 from gridfree import (
     FieldElement,
     Hypergraph3,
+    LemmaInstance,
     MixedModulusError,
     ParabolaSpec,
     Prime,
     closed_form_N,
+    coverage,
     inv,
     legendre,
     line_parabola_intersections,
     secant_line,
 )
 from gridfree.charsum import SecantCensus
+from gridfree.ffield import _as_prime, chi_table
+from gridfree.lemma import EXHAUSTIVE_LIMIT
+from gridfree.rng import splitmix64_stream
 
 GRID_CANON = ((0, 1, 2), (0, 3, 6), (1, 4, 7), (2, 5, 8), (3, 4, 5), (6, 7, 8))
 PRISM_CANON = ((0, 1, 2), (0, 3, 6), (1, 4, 5), (2, 5, 8), (3, 4, 7), (6, 7, 8))
@@ -232,6 +240,21 @@ def secant_census_by_objects(p: int) -> SecantCensus:
         closed_form=closed,
         matches=total == closed,
     )
+
+
+def delta_sum_by_rows(p: Prime | int) -> int:
+    """sum over ordered pairs a != b of chi((a^2 - b^2)^2 - 4), one list
+    comprehension per row a."""
+    pv = _as_prime(p, 3).value
+    chi = chi_table(pv)
+    g = [chi[(u * u - 4) % pv] for u in range(pv)]
+    sq = [x * x % pv for x in range(pv)]
+    # g[sa - sb] is g[(a^2 - b^2) mod p]: a negative index wraps by p.  The
+    # full square of pairs counts each of the p diagonal pairs as g[0].
+    total = -pv * g[0]
+    for sa in sq:
+        total += sum([g[sa - sb] for sb in sq])
+    return total
 
 
 def _cross(u, v):
@@ -517,3 +540,33 @@ def average_coverage_direct(n: int, k: int, family) -> Fraction:
         total += sum(1 for a, b in family if a in inside or b in inside)
         count += 1
     return Fraction(total, count)
+
+
+def best_subset_by_coverage(N: int, k: int, H) -> tuple[tuple[int, ...], int]:
+    """Maximizer of coverage over itertools.combinations(range(N), k), each
+    subset rescanned against all of H; ties go to the first subset met."""
+    inst = LemmaInstance(N, k, tuple(H))
+    if N > EXHAUSTIVE_LIMIT:
+        raise ValueError(
+            f"N={N} is too large for exhaustive search (limit {EXHAUSTIVE_LIMIT})"
+        )
+    best_s: tuple[int, ...] = ()
+    best_c = -1
+    for S in itertools.combinations(range(N), k):
+        c = coverage(S, inst.H)
+        if c > best_c:
+            best_s, best_c = S, c
+    return best_s, best_c
+
+
+def sample_distinct_by_pool(n: int, k: int, seed: int) -> tuple[int, ...]:
+    """Partial Fisher-Yates over a full copy of range(n), driven by
+    splitmix64."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    pool = list(range(n))
+    stream = splitmix64_stream(seed)
+    for i in range(k):
+        j = i + next(stream) % (n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(pool[:k])

@@ -51,6 +51,11 @@ def test_delta_sum_identity():
         assert delta_sum_check(p) == delta_sum_direct(p)
 
 
+def test_delta_sum_matches_row_oracle():
+    for p in (p for p in range(3, 500) if is_prime(p)):
+        assert delta_sum_check(p) == oracles.delta_sum_by_rows(p) == -(p - 1)
+
+
 def test_reciprocity_spot_values():
     for p in ODD_PRIMES_97:
         r = reciprocity_check(p)

@@ -42,6 +42,8 @@ GOLDEN_STDOUT = [
     (("census", "--p", "5..13"), "census_5_13.jsonl", 0),
     (("lemma", "--N", "2..8", "--seed", "5"), "lemma_2_8.jsonl", 0),
     (("pascal", "--p", "13", "--samples", "25", "--seed", "7"), "pascal_13.json", 0),
+    (("census", "--p", "5..499"), "census_5_499.jsonl", 0),
+    (("lemma", "--N", "2..16", "--seed", "0"), "lemma_2_16.jsonl", 0),
 ]
 
 

@@ -16,6 +16,7 @@ from gridfree import (
     half_family_expectation,
     lemma_bound,
 )
+from gridfree import cli
 from gridfree.lemma import EXHAUSTIVE_LIMIT
 
 
@@ -83,17 +84,30 @@ def test_best_subset_is_exhaustive_and_lex_least():
     assert best_subset(4, 2, ()) == ((0, 1), 0)
     subset, cov = best_subset(4, 2, ((0, 1), (2, 3), (0, 2)))
     assert (subset, cov) == ((0, 2), 3)
-    # brute-force cross-check on random families
-    for seed in range(10):
-        rng = random.Random(seed)
-        n = rng.randint(2, 8)
-        k = rng.randint(0, n)
-        fam = oracles.random_pair_family(rng, n)
-        subset, cov = best_subset(n, k, fam)
-        best = max(coverage(s, fam) for s in combinations(range(n), k))
-        assert cov == best
-        firsts = [s for s in combinations(range(n), k) if coverage(s, fam) == best]
-        assert subset == firsts[0]
+    # every n <= 12 and every k, on families from empty to complete
+    for n in range(2, 13):
+        pool = list(combinations(range(n), 2))
+        rng = random.Random(n)
+        sizes = sorted({0, 1, len(pool) // 2, len(pool) - 1, len(pool),
+                        rng.randint(0, len(pool))})
+        fams = [tuple(sorted(rng.sample(pool, size))) for size in sizes]
+        for k in range(n + 1):
+            for fam in fams:
+                assert best_subset(n, k, fam) == oracles.best_subset_by_coverage(n, k, fam)
+
+
+def test_best_subset_matches_oracle_on_cli_families():
+    checked = 0
+    for n in range(2, EXHAUSTIVE_LIMIT + 1):
+        for seed in range(5):
+            fam = cli._lemma_family(n, seed)
+            if fam is None:
+                continue
+            subset, cov = best_subset(n, n // 2, fam)
+            assert (subset, cov) == oracles.best_subset_by_coverage(n, n // 2, fam)
+            assert coverage(subset, fam) == cov >= lemma_bound(n)
+            checked += 1
+    assert checked == 35  # n = 4, 5, 8, 9, 12, 13, 16 at five seeds
 
 
 def test_best_subset_refuses_large_n():
