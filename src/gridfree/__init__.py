@@ -10,24 +10,15 @@ census auditing the closed-form secant counts.
 __version__ = "0.1.0"
 
 from .ffield import (
-    FieldElement,
     InvalidPrimeError,
-    MixedModulusError,
-    Prime,
+    check_prime,
     chi_table,
-    inv,
     legendre,
     min_sqrt_table,
-    sqrt_mod,
 )
 from .geometry import (
-    AffinePoint,
-    DegenerateSecantError,
-    Line,
-    ParabolaSpec,
     line_parabola_intersections,
     pascal_collinear,
-    pascal_meets_collinear,
     secant_line,
 )
 from .hypergraph import (
@@ -57,9 +48,6 @@ from .detect import (
     find_grid,
     find_prism,
     find_small_two_core,
-    grid_fixture,
-    pasch_fixture,
-    prism_fixture,
     two_core,
 )
 from .lemma import (
@@ -85,23 +73,14 @@ from .charsum import (
 
 __all__ = [
     "__version__",
-    "Prime",
-    "FieldElement",
     "InvalidPrimeError",
-    "MixedModulusError",
+    "check_prime",
     "legendre",
-    "sqrt_mod",
     "chi_table",
     "min_sqrt_table",
-    "inv",
-    "AffinePoint",
-    "Line",
-    "ParabolaSpec",
-    "DegenerateSecantError",
     "secant_line",
     "line_parabola_intersections",
     "pascal_collinear",
-    "pascal_meets_collinear",
     "Hypergraph3",
     "VertexInfo",
     "VertexMap",
@@ -125,9 +104,6 @@ __all__ = [
     "find_prism",
     "two_core",
     "find_small_two_core",
-    "grid_fixture",
-    "prism_fixture",
-    "pasch_fixture",
     "LemmaInstance",
     "CoverageResult",
     "expected_coverage",

@@ -14,11 +14,10 @@ sum_x chi(x^2 - 4) = -1, sum_{a != b} chi((a^2-b^2)^2 - 4) = -(p-1), and
 the standard characterizations of chi(2) and chi(-2) mod 8.
 
 The census and the sums run on plain residues mod p with chi and square
-root lookup tables, not on FieldElement objects: each secant is counted
-from its own discriminant, and each pair's classification comes from
-construct's d-keyed sweep table.  The object-by-object route through
-geometry lives on as the slow oracle secant_census_by_objects in
-tests/oracles.py.
+root lookup tables: each secant is counted from its own discriminant, and
+each pair's classification comes from construct's d-keyed sweep table.
+tests/oracles.py recounts the census without square roots, from a table
+of every line that meets y = x^2 + 1 (secant_census_by_vieta).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from itertools import combinations
 from operator import itemgetter
 
 from .construct import _secant_offsets
-from .ffield import Prime, _as_prime, chi_table, legendre, min_sqrt_table
+from .ffield import check_prime, chi_table, legendre, min_sqrt_table
 from .record import Record
 
 __all__ = [
@@ -41,24 +40,24 @@ __all__ = [
 ]
 
 
-def gauss_sum_check(p: Prime | int) -> int:
+def gauss_sum_check(p: int) -> int:
     """sum over x in F_p of chi(x^2 - 4), by direct enumeration.
 
     The identity says this is -1 for every odd prime; callers assert it.
     """
-    pv = _as_prime(p, 3).value
+    pv = check_prime(p, 3)
     chi = chi_table(pv)
     return sum(chi[(x * x - 4) % pv] for x in range(pv))
 
 
-def delta_sum_check(p: Prime | int) -> int:
+def delta_sum_check(p: int) -> int:
     """sum over ordered pairs a != b of chi((a^2 - b^2)^2 - 4).
 
     Substituting u = a-b, v = a+b turns each term into chi((uv)^2 - 4), so
     the double sum collapses to (p-1) copies of the Gauss sum above and
     the identity value is -(p-1).  Computed here by brute force.
     """
-    pv = _as_prime(p, 3).value
+    pv = check_prime(p, 3)
     chi = chi_table(pv)
     g = [chi[(u * u - 4) % pv] for u in range(pv)]
     sq = [x * x % pv for x in range(pv)]
@@ -109,7 +108,7 @@ class SecantCensus(Record):
         }
 
 
-def secant_census(p: Prime | int) -> SecantCensus:
+def secant_census(p: int) -> SecantCensus:
     """Count distinct lines through two points of S that meet y = x^2 + 1.
 
     Works on residues mod p.  The secant through the points of y = x^2 at
@@ -121,7 +120,7 @@ def secant_census(p: Prime | int) -> SecantCensus:
     classification of its generating pair by chi((s-t)^2 - 4), read from
     construct's sweep table at d = t - s.  A disagreement raises.
     """
-    pv = _as_prime(p, 5).value
+    pv = check_prime(p, 5)
     xs = sorted({x * x % pv for x in range(pv)})
     pairs = list(combinations(xs, 2))
     classes = [0] * pv
@@ -155,9 +154,9 @@ def secant_census(p: Prime | int) -> SecantCensus:
     )
 
 
-def closed_form_N(p: Prime | int) -> int:
+def closed_form_N(p: int) -> int:
     """The claimed closed form for the census total."""
-    pv = _as_prime(p, 5).value
+    pv = check_prime(p, 5)
     if pv % 4 == 3:
         return (pv + 1) ** 2 // 16
     return (pv - 1) ** 2 // 16 + 2
@@ -172,15 +171,15 @@ class ReciprocityResult(Record):
     consistent: bool
 
 
-def reciprocity_check(p: Prime | int) -> ReciprocityResult:
+def reciprocity_check(p: int) -> ReciprocityResult:
     """Evaluate chi(2) and chi(-2) and compare with the residue of p mod 8:
     chi(2) = +1 iff p = +-1 (mod 8); chi(-2) = +1 iff p = 1 or 3 (mod 8)."""
-    prime = _as_prime(p, 3)
-    chi2 = legendre(prime(2))
-    chi_m2 = legendre(prime(-2))
-    r = prime.value % 8
+    pv = check_prime(p, 3)
+    chi2 = legendre(2, pv)
+    chi_m2 = legendre(-2, pv)
+    r = pv % 8
     ok2 = (chi2 == 1) == (r in (1, 7))
     okm2 = (chi_m2 == 1) == (r in (1, 3))
     return ReciprocityResult(
-        p=prime.value, chi2=chi2, chi_minus2=chi_m2, consistent=ok2 and okm2
+        p=pv, chi2=chi2, chi_minus2=chi_m2, consistent=ok2 and okm2
     )

@@ -25,8 +25,8 @@ from . import __version__
 from .charsum import delta_sum_check, gauss_sum_check, reciprocity_check, secant_census
 from .construct import build_base, build_qr, build_random
 from .detect import find_grid, find_prism, find_small_two_core
-from .ffield import InvalidPrimeError, Prime, is_prime
-from .geometry import pascal_meets_residues
+from .ffield import InvalidPrimeError, check_prime, is_prime
+from .geometry import pascal_collinear
 from .hypergraph import FormatError, decode, encode, is_linear
 from .lemma import (
     EXHAUSTIVE_LIMIT,
@@ -66,15 +66,21 @@ def _manifest(command: str, parameters: dict, seed=None, inputs=(), outputs=(), 
     return out
 
 
+def _as_int(text: str, error: str) -> int:
+    """int(text), or an ArgumentTypeError carrying error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(error) from None
+
+
 def _prime_at_least(minimum: int):
     def parse(text: str) -> int:
+        value = _as_int(text, f"{text!r} is not an integer")
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if value < minimum or value % 2 == 0 or not is_prime(value):
-            raise argparse.ArgumentTypeError(f"{value} is not an odd prime >= {minimum}")
-        return value
+            return check_prime(value, minimum)
+        except InvalidPrimeError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -89,22 +95,9 @@ def _rho(text: str) -> Fraction:
     return value
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if not 0 <= value < (1 << 64):
-        raise argparse.ArgumentTypeError("seed must lie in [0, 2^64)")
-    return value
-
-
 def _int_between(minimum: int, maximum: int | None = None):
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        value = _as_int(text, f"{text!r} is not an integer")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         if maximum is not None and value > maximum:
@@ -112,6 +105,9 @@ def _int_between(minimum: int, maximum: int | None = None):
         return value
 
     return parse
+
+
+_seed = _int_between(0, MASK64)
 
 
 def _read_hypergraph(path: str):
@@ -145,11 +141,9 @@ def _write_replacing(path: Path, text: str) -> None:
 def _int_range(minimum: int):
     def parse(text: str) -> tuple[int, int]:
         lo, sep, hi = text.partition("..")
-        try:
-            lo_v = int(lo)
-            hi_v = int(hi) if sep else lo_v
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not N or LO..HI") from None
+        error = f"{text!r} is not N or LO..HI"
+        lo_v = _as_int(lo, error)
+        hi_v = _as_int(hi, error) if sep else lo_v
         if lo_v > hi_v:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
         if lo_v < minimum:
@@ -280,20 +274,19 @@ def cmd_census(args) -> int:
     )
     _print_json({"manifest": manifest}, args.pretty)
     for p in primes:
-        prime = Prime(p)
-        gauss = gauss_sum_check(prime)
+        gauss = gauss_sum_check(p)
         if gauss != -1:
             print(f"gauss sum identity failed at p={p}: {gauss}", file=sys.stderr)
             return EXIT_VIOLATION
-        delta = delta_sum_check(prime)
+        delta = delta_sum_check(p)
         if delta != -(p - 1):
             print(f"delta sum identity failed at p={p}: {delta}", file=sys.stderr)
             return EXIT_VIOLATION
-        rec = reciprocity_check(prime)
+        rec = reciprocity_check(p)
         if not rec.consistent:
             print(f"reciprocity failed at p={p}", file=sys.stderr)
             return EXIT_VIOLATION
-        _print_json(secant_census(prime).to_json_dict(), args.pretty)
+        _print_json(secant_census(p).to_json_dict(), args.pretty)
     return EXIT_OK
 
 
@@ -366,7 +359,7 @@ def cmd_pascal(args) -> int:
     failures = []
     for i in range(args.samples):
         xs = sample_distinct(p, 6, next(stream))
-        if not pascal_meets_residues([(x, x * x % p, 1) for x in xs], p):
+        if not pascal_collinear(xs, p):
             failures.append({"sample": i, "xs": list(xs)})
     manifest = _manifest(
         command="pascal",

@@ -21,8 +21,8 @@ discriminant, the offsets that put its candidate third points at a + o
 builders emit edges in canonical order and construct the hypergraph
 directly.  Each vertex's provenance is its origin and its point
 (x, x^2 + t) as plain residues mod p.  The geometry module recomputes the
-same incidences object-by-object, tests/oracles.py keeps the pair-by-pair
-loops, and the tests cross-check all three routes.
+same incidences one secant at a time, tests/oracles.py keeps the
+pair-by-pair loops, and the tests cross-check all three routes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .ffield import Prime, _as_prime, chi_table, legendre, min_sqrt_table
+from .ffield import check_prime, chi_table, legendre, min_sqrt_table
 from .hypergraph import Hypergraph3, VertexInfo, VertexMap
 from .record import Record
 from .rng import bernoulli_threshold, splitmix64_stream
@@ -86,7 +86,7 @@ class ConstructionReport(Record):
 
     @property
     def chi_minus_1(self) -> int:
-        return legendre(Prime(self.p)(-1))
+        return legendre(-1, self.p)
 
     @property
     def predicted_m(self) -> int | None:
@@ -111,14 +111,14 @@ class ConstructionReport(Record):
         }
 
 
-def select_subset(p: Prime | int, rho_num: int, rho_den: int, seed: int) -> list[int]:
+def select_subset(p: int, rho_num: int, rho_den: int, seed: int) -> list[int]:
     """x coordinates of the V2 points kept by the seeded coin flips, one
     64-bit draw per x in ascending order."""
-    prime = _as_prime(p, 5)
+    pv = check_prime(p, 5)
     _check_seed(seed)
     threshold = bernoulli_threshold(rho_num, rho_den)
     stream = splitmix64_stream(seed)
-    return [x for x in range(prime.value) if next(stream) < threshold]
+    return [x for x in range(pv) if next(stream) < threshold]
 
 
 def _check_seed(seed: int) -> None:
@@ -181,14 +181,14 @@ def _sweep(
     return triples, two_point
 
 
-def build_base(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
+def build_base(p: int) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
     """Full construction on V1 union V2 (ids 0..p-1 then p..2p-1, by x).
 
     A pair {a, b} of V1 points qualifies iff chi((a-b)^2 - 4) >= 0; its
     edge takes the smaller-x intersection of the secant with V2.  The edge
     count must equal p(p - chi(-1))/4.
     """
-    pv = _as_prime(p, 5).value
+    pv = check_prime(p, 5)
     edges, two_point = _sweep(pv, -4, range(pv), pv)
     h = Hypergraph3(2 * pv, edges)
     vmap = VertexMap(pv, [VertexInfo("V1", x, x * x % pv) for x in range(pv)]
@@ -196,15 +196,15 @@ def build_base(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionRepo
     return h, vmap, ConstructionReport(pv, "base", h.n, h.m, two_point, None, None)
 
 
-def count_two_point_secants(p: Prime | int) -> int:
+def count_two_point_secants(p: int) -> int:
     """Number of V1 secants meeting V2 in two points: the pairs with
     chi((a-b)^2 - 4) = +1, expected p(p - chi(-1) - 4)/4."""
-    pv = _as_prime(p, 5).value
+    pv = check_prime(p, 5)
     return sum(pv - d for d, lo, hi in _secant_offsets(pv, -4) if lo != hi)
 
 
 def build_random(
-    p: Prime | int, rho_num: int, rho_den: int, seed: int
+    p: int, rho_num: int, rho_den: int, seed: int
 ) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
     """Thinned construction: keep each V2 point with probability
     rho_num/rho_den (seeded, reproducible), then give every qualifying V1
@@ -213,7 +213,7 @@ def build_random(
     With rho = 1 the edge set equals build_base(p); with rho = 0 the
     result has no edges and only the p V1 vertices.
     """
-    pv = _as_prime(p, 5).value
+    pv = check_prime(p, 5)
     selected = select_subset(pv, rho_num, rho_den, seed)
     edges, two_point = _sweep(pv, -4, selected, pv)
     h = Hypergraph3(pv + len(selected), edges)
@@ -222,13 +222,13 @@ def build_random(
     return h, vmap, ConstructionReport(pv, "random", h.n, h.m, two_point, len(selected), seed)
 
 
-def build_qr(p: Prime | int) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
+def build_qr(p: int) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
     """Deterministic thinning: S is the set of V1 points whose x coordinate
     is a square (zero included, |S| = (p+1)/2), vertices are S then V2
     (ids 0..|S|-1 and |S|..|S|+p-1, each block ascending by x).  Every
     secant of V2 whose intersection with V1 contains a square x picks the
     smallest such x."""
-    pv = _as_prime(p, 5).value
+    pv = check_prime(p, 5)
     squares = sorted({x * x % pv for x in range(pv)})
     s_size = len(squares)
     triples, two_point = _sweep(pv, 4, squares, 0)

@@ -40,26 +40,11 @@ __all__ = [
     "find_prism",
     "two_core",
     "find_small_two_core",
-    "grid_fixture",
-    "prism_fixture",
-    "pasch_fixture",
 ]
 
-# Canonical witnesses, used as fixtures throughout the test suite.
+# The grid and the prism in canonical labelling, for checkers and tests.
 GRID_EDGES = ((0, 1, 2), (0, 3, 6), (1, 4, 7), (2, 5, 8), (3, 4, 5), (6, 7, 8))
 PRISM_EDGES = ((0, 1, 2), (0, 3, 6), (1, 4, 5), (2, 5, 8), (3, 4, 7), (6, 7, 8))
-PASCH_EDGES = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
-
-def grid_fixture() -> Hypergraph3:
-    return Hypergraph3.from_edges(9, GRID_EDGES)
-
-
-def prism_fixture() -> Hypergraph3:
-    return Hypergraph3.from_edges(9, PRISM_EDGES)
-
-
-def pasch_fixture() -> Hypergraph3:
-    return Hypergraph3.from_edges(6, PASCH_EDGES)
 
 
 class GridWitness(Record):

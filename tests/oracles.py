@@ -1,16 +1,16 @@
 """Reference implementations used to cross-check the library.
 
 Everything here is deliberately written the slow, obvious way and shares no
-code with the package: full scans instead of closed forms, all-subsets
-enumeration instead of pruned search, random.Random instead of the package
-generator.  The exception is the object route, which keeps the fast
-paths' old FieldElement/geometry computations (the census and the Pascal
-meets) as references for the residue-integer versions, and the audit's
-plain loops (a coverage rescan per subset, a pool copy per draw, one
-comprehension per delta row) as references for the popcount search, the
-sparse shuffle and the gathered rows.  Seeded generators
-for random and planted instances also live here so the tests and the
-acceptance gate draw from the same well.
+arithmetic with the package: full scans instead of closed forms and square
+roots, all-subsets enumeration instead of pruned search, random.Random
+instead of the package generator, projective points over a minimal field
+type of their own, and the audit's plain loops (a coverage rescan per
+subset, a pool copy per draw, one comprehension per delta row) as
+references for the popcount search, the sparse shuffle and the gathered
+rows.  The package is imported only for the records the oracles return,
+the generator they replay, and the closed form the census reports beside
+its count.  Seeded generators for random and planted instances also live
+here so the tests and the acceptance gate draw from the same well.
 """
 
 from __future__ import annotations
@@ -20,27 +20,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from gridfree import (
-    FieldElement,
-    Hypergraph3,
-    LemmaInstance,
-    MixedModulusError,
-    ParabolaSpec,
-    Prime,
-    closed_form_N,
-    coverage,
-    inv,
-    legendre,
-    line_parabola_intersections,
-    secant_line,
-)
+from gridfree import Hypergraph3, LemmaInstance, closed_form_N, coverage
 from gridfree.charsum import SecantCensus
-from gridfree.ffield import _as_prime, chi_table
 from gridfree.lemma import EXHAUSTIVE_LIMIT
 from gridfree.rng import splitmix64_stream
 
 GRID_CANON = ((0, 1, 2), (0, 3, 6), (1, 4, 7), (2, 5, 8), (3, 4, 5), (6, 7, 8))
 PRISM_CANON = ((0, 1, 2), (0, 3, 6), (1, 4, 5), (2, 5, 8), (3, 4, 7), (6, 7, 8))
+# The Pasch configuration, the smallest linear 2-core: four lines on six points.
+PASCH_EDGES = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
 
 
 def encode_by_lines(h: Hypergraph3, vertex_map=None) -> str:
@@ -81,16 +69,13 @@ def is_linear_by_pairs(edges) -> bool:
     return True
 
 
-def intersections_by_scan(p: int, slope, intercept: int, shift: int):
-    """Points of y = slope*x + intercept (slope None: x = intercept) on the
-    parabola y = x^2 + shift, found by scanning every x."""
+def intersections_by_scan(p: int, slope: int, intercept: int, shift: int):
+    """Points of y = slope*x + intercept on the parabola y = x^2 + shift,
+    found by scanning every x."""
     out = []
     for x in range(p):
         y = (x * x + shift) % p
-        if slope is None:
-            if x == intercept % p:
-                out.append((x, y))
-        elif (slope * x + intercept) % p == y:
+        if (slope * x + intercept) % p == y:
             out.append((x, y))
     return out
 
@@ -196,32 +181,35 @@ def qr_edges_by_pairs(p: int) -> tuple[list[tuple[int, int, int]], int]:
     return sorted(tuple(sorted(e)) for e in edges), two_point
 
 
-def secant_census_by_objects(p: int) -> SecantCensus:
-    """The census over FieldElement objects: geometry's secant lines,
-    deduplicated as Line objects, each intersected with y = x^2 + 1 by
-    line_parabola_intersections and cross-checked pair by pair against
-    legendre((s-t)^2 - 4)."""
-    prime = Prime(p)
-    pv = prime.value
-    v1 = ParabolaSpec(prime(0))
-    v2 = ParabolaSpec(prime(1))
-    xs = sorted({x * x % pv for x in range(pv)})
+def secant_census_by_vieta(p: int) -> SecantCensus:
+    """The census from a table of every line that meets y = x^2 + 1.
+
+    A line y = mx + c meets it at x1 and x2 exactly when x1 + x2 = m and
+    x1*x2 = 1 - c (Vieta), so each pair x1 <= x2 keys its line to its meet
+    count, 1 for x1 = x2 and 2 otherwise; a line not in the table misses
+    the parabola.  Each secant y = (s + t)x - st of y = x^2 through two
+    squares s < t is looked up there, deduplicated, and cross-checked pair
+    by pair against chi((s-t)^2 - 4).  No square root is taken."""
+    chi, _ = _residue_tables(p)
+    meets = {}
+    for x1 in range(p):
+        for x2 in range(x1, p):
+            meets[(x1 + x2) % p, (1 - x1 * x2) % p] = 1 if x1 == x2 else 2
+    xs = sorted({x * x % p for x in range(p)})
 
     by_line: dict = {}
     for s, t in itertools.combinations(xs, 2):
-        line = secant_line(prime(s), prime(t), v1)
-        by_line.setdefault(line, []).append((s, t))
+        by_line.setdefault(((s + t) % p, -s * t % p), []).append((s, t))
 
     n_two = n_tangent = 0
     for line, pairs in by_line.items():
-        count = len(line_parabola_intersections(line, v2))
+        count = meets.get(line, 0)
         for s, t in pairs:
-            d = prime(s) - prime(t)
-            expected = {1: 2, 0: 1, -1: 0}[legendre(d * d - 4)]
+            expected = {1: 2, 0: 1, -1: 0}[chi[((s - t) ** 2 - 4) % p]]
             if expected != count:
                 raise ArithmeticError(
                     f"discriminant classification disagrees with geometry "
-                    f"for pair ({s}, {t}) mod {pv}"
+                    f"for pair ({s}, {t}) mod {p}"
                 )
         if count == 2:
             n_two += 1
@@ -229,9 +217,9 @@ def secant_census_by_objects(p: int) -> SecantCensus:
             n_tangent += 1
 
     total = n_two + n_tangent
-    closed = closed_form_N(prime)
+    closed = closed_form_N(p)
     return SecantCensus(
-        p=pv,
+        p=p,
         s_size=len(xs),
         pair_count=len(xs) * (len(xs) - 1) // 2,
         n_two=n_two,
@@ -242,16 +230,15 @@ def secant_census_by_objects(p: int) -> SecantCensus:
     )
 
 
-def delta_sum_by_rows(p: Prime | int) -> int:
+def delta_sum_by_rows(p: int) -> int:
     """sum over ordered pairs a != b of chi((a^2 - b^2)^2 - 4), one list
     comprehension per row a."""
-    pv = _as_prime(p, 3).value
-    chi = chi_table(pv)
-    g = [chi[(u * u - 4) % pv] for u in range(pv)]
-    sq = [x * x % pv for x in range(pv)]
+    chi, _ = _residue_tables(p)
+    g = [chi[(u * u - 4) % p] for u in range(p)]
+    sq = [x * x % p for x in range(p)]
     # g[sa - sb] is g[(a^2 - b^2) mod p]: a negative index wraps by p.  The
     # full square of pairs counts each of the p diagonal pairs as g[0].
-    total = -pv * g[0]
+    total = -p * g[0]
     for sa in sq:
         total += sum([g[sa - sb] for sb in sq])
     return total
@@ -275,42 +262,73 @@ def _det3(r1, r2, r3):
 
 
 @dataclass(frozen=True)
+class Residue:
+    """An element of F_p with just the operations the projective route
+    uses: +, -, * within one field and a multiplicative inverse."""
+
+    value: int
+    p: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", self.value % self.p)
+
+    def _check(self, other: "Residue") -> None:
+        if other.p != self.p:
+            raise ValueError(f"cannot combine residues mod {self.p} and mod {other.p}")
+
+    def __add__(self, other: "Residue") -> "Residue":
+        self._check(other)
+        return Residue(self.value + other.value, self.p)
+
+    def __sub__(self, other: "Residue") -> "Residue":
+        self._check(other)
+        return Residue(self.value - other.value, self.p)
+
+    def __mul__(self, other: "Residue") -> "Residue":
+        self._check(other)
+        return Residue(self.value * other.value, self.p)
+
+    def inverse(self) -> "Residue":
+        return Residue(pow(self.value, -1, self.p), self.p)
+
+
+@dataclass(frozen=True)
 class ProjPoint:
     """Homogeneous coordinates (X : Y : Z), not all zero, stored canonically
     with the last nonzero coordinate scaled to 1 so equality and hashing
     are well defined."""
 
-    X: FieldElement
-    Y: FieldElement
-    Z: FieldElement
+    X: Residue
+    Y: Residue
+    Z: Residue
 
     def __post_init__(self) -> None:
         coords = (self.X, self.Y, self.Z)
-        if len({c.modulus.value for c in coords}) != 1:
-            raise MixedModulusError("projective coordinates mix moduli")
-        last = next((c for c in reversed(coords) if c.residue != 0), None)
+        if len({c.p for c in coords}) != 1:
+            raise ValueError("projective coordinates mix moduli")
+        last = next((c for c in reversed(coords) if c.value != 0), None)
         if last is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        if last.residue != 1:
-            s = inv(last)
+        if last.value != 1:
+            s = last.inverse()
             object.__setattr__(self, "X", self.X * s)
             object.__setattr__(self, "Y", self.Y * s)
             object.__setattr__(self, "Z", self.Z * s)
 
     @classmethod
-    def from_affine(cls, point) -> "ProjPoint":
-        return cls(point.x, point.y, FieldElement(1, point.modulus))
+    def from_affine(cls, x: int, y: int, p: int) -> "ProjPoint":
+        return cls(Residue(x, p), Residue(y, p), Residue(1, p))
 
 
-def pascal_meets_by_objects(points) -> bool:
-    """Opposite-side meets AB^DE, BC^EF, CD^FA of six affine points, each
-    lifted to a ProjPoint, with cross products and the determinant taken
-    over FieldElement objects."""
-    lifted = [ProjPoint.from_affine(q) for q in points]
+def pascal_meets_by_objects(points, p: int) -> bool:
+    """Opposite-side meets AB^DE, BC^EF, CD^FA of six affine points (x, y)
+    mod p, each lifted to a ProjPoint, with cross products and the
+    determinant taken over Residue objects."""
+    lifted = [ProjPoint.from_affine(x, y, p) for x, y in points]
     vecs = [(q.X, q.Y, q.Z) for q in lifted]
     sides = [_cross(vecs[i], vecs[(i + 1) % 6]) for i in range(6)]
     meets = [_cross(sides[i], sides[i + 3]) for i in range(3)]
-    return _det3(*meets).residue == 0
+    return _det3(*meets).value == 0
 
 
 def _edge_mask(edge) -> int:

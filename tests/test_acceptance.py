@@ -11,8 +11,7 @@ from math import comb
 
 import oracles
 from gridfree import (
-    Prime,
-    ParabolaSpec,
+    Hypergraph3,
     build_base,
     build_qr,
     build_random,
@@ -29,17 +28,16 @@ from gridfree import (
     find_grid,
     find_small_two_core,
     gauss_sum_check,
-    grid_fixture,
     is_linear,
     legendre,
     lemma_bound,
     best_subset,
     pascal_collinear,
-    pasch_fixture,
     reciprocity_check,
     secant_census,
     two_core,
 )
+from gridfree.detect import GRID_EDGES
 from gridfree.ffield import is_prime
 from gridfree.rng import sample_distinct, splitmix64_stream
 
@@ -49,7 +47,7 @@ def primes(lo: int, hi: int):
 
 
 def chi_minus_one(p: int) -> int:
-    return legendre(Prime(p)(-1))
+    return legendre(-1, p)
 
 
 def test_c01_base_edge_count_identity():
@@ -76,9 +74,10 @@ def test_c03_grid_freeness():
         for seed in (1, 2, 3):
             assert find_grid(build_random(p, 1, 2, seed)[0]) is None, ("random", p, seed)
         assert find_grid(build_qr(p)[0]) is None, ("qr", p)
-    w = find_grid(grid_fixture())
+    grid = Hypergraph3.from_edges(9, GRID_EDGES)
+    w = find_grid(grid)
     assert w is not None
-    w.validate(grid_fixture())
+    w.validate(grid)
     for i in range(50):
         rng = random.Random(3000 + i)
         h = oracles.plant_grid(rng, n_extra=rng.randint(3, 12), m_extra=rng.randint(0, 12))
@@ -90,12 +89,10 @@ def test_c03_grid_freeness():
 def test_c04_pascal_property():
     """1000 seeded hexagons per p in {13,17,19,23} are all collinear."""
     for p in (13, 17, 19, 23):
-        prime = Prime(p)
-        parabola = ParabolaSpec(prime(0))
         stream = splitmix64_stream(7)
         for _ in range(1000):
             xs = sample_distinct(p, 6, next(stream))
-            assert pascal_collinear([parabola.point_at(x) for x in xs], parabola), (p, xs)
+            assert pascal_collinear(xs, p), (p, xs)
 
 
 def test_c05_lemma_expectation_and_bound():
@@ -198,7 +195,7 @@ def test_c11_detector_soundness_and_completeness():
         for s in range(2):
             assert oracles.peel_random_order(h, random.Random(s)) == core, (i, s)
 
-    w = find_small_two_core(pasch_fixture(), 6)
+    w = find_small_two_core(Hypergraph3.from_edges(6, oracles.PASCH_EDGES), 6)
     assert w is not None and w.degrees == (2,) * 6
 
     nine = 0

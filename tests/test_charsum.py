@@ -5,7 +5,6 @@ import pytest
 import oracles
 from gridfree import (
     InvalidPrimeError,
-    Prime,
     build_qr,
     charsum,
     closed_form_N,
@@ -94,7 +93,7 @@ def test_census_closed_form_agreement_pattern():
 def test_census_matches_object_oracle():
     for p in range(5, 200):
         if is_prime(p):
-            assert secant_census(p) == oracles.secant_census_by_objects(p), p
+            assert secant_census(p) == oracles.secant_census_by_vieta(p), p
 
 
 def test_census_cross_check_catches_any_misclassified_difference(monkeypatch):
@@ -116,7 +115,7 @@ def test_census_cross_check_catches_any_misclassified_difference(monkeypatch):
             with pytest.raises(ArithmeticError, match=rf"pair \({s}, {t}\) mod {p}$"):
                 secant_census(p)
     monkeypatch.undo()
-    assert secant_census(29) == oracles.secant_census_by_objects(29)
+    assert secant_census(29) == oracles.secant_census_by_vieta(29)
 
 
 def test_census_json_key_order():

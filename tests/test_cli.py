@@ -102,9 +102,10 @@ def test_verify_subset_of_checks(tmp_path):
 
 
 def test_verify_gridfree_fails_on_grid_fixture(tmp_path):
-    from gridfree import encode, grid_fixture
+    from gridfree import Hypergraph3, encode
+    from gridfree.detect import GRID_EDGES
 
-    (tmp_path / "grid.hg3").write_text(encode(grid_fixture()))
+    (tmp_path / "grid.hg3").write_text(encode(Hypergraph3.from_edges(9, GRID_EDGES)))
     proc = run(("verify", "--in", "grid.hg3", "--checks", "gridfree"), tmp_path)
     assert proc.returncode == 1
     data = json.loads(proc.stdout)
@@ -367,3 +368,27 @@ def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
     cli = _loaded_modules("import gridfree.cli", tmp_path)
     assert "gridfree.cli" in cli and "gridfree.geometry" in cli
     assert {"dataclasses", "inspect"} & (cli - bare) == set()
+
+
+def test_benchmark_traced_names_resolve():
+    # bench/tracing.py looks up each TRACED name after `import gridfree.cli`;
+    # a removed or renamed one would otherwise surface only in its --trace runs.
+    # The file is read and executed here, never imported, so nothing is
+    # written beside it.
+    import gridfree.cli as cli
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tracing = {"__name__": "tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    for mod_name, fns in tracing["TRACED"].items():
+        home = sys.modules[f"gridfree.{mod_name}"]
+        for fn_name in fns:
+            owner = home.Hypergraph3 if fn_name == "from_edges" else home
+            assert callable(getattr(owner, fn_name, None)), f"{mod_name}.{fn_name}"
+    # cmd_pascal's own binding is patched, so its calls are counted
+    original = cli.pascal_collinear
+    with tracing["Tracer"]().installed() as tracer:
+        assert cli.pascal_collinear is not original
+        assert cli.main(["pascal", "--p", "7", "--samples", "3"]) == 0
+    assert cli.pascal_collinear is original
+    assert tracer.metrics()["geometry.pascal_collinear.calls"] == 3

@@ -7,7 +7,6 @@ import oracles
 from gridfree import (
     ConstructionReport,
     InvalidPrimeError,
-    Prime,
     VertexInfo,
     build_base,
     build_qr,
@@ -17,6 +16,8 @@ from gridfree import (
     density_ratio,
     is_linear,
     legendre,
+    line_parabola_intersections,
+    secant_line,
 )
 from gridfree.construct import GENERATOR, SELECTION_RULE, select_subset
 
@@ -29,7 +30,7 @@ BASE7_EDGES = (
 
 
 def predicted_edges(p: int) -> int:
-    chi = legendre(Prime(p)(-1))
+    chi = legendre(-1, p)
     return p * (p - chi) // 4
 
 
@@ -71,7 +72,7 @@ def test_two_point_secant_counts():
     assert count_two_point_secants(7) == 7
     assert count_two_point_secants(13) == 26
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
-        chi = legendre(Prime(p)(-1))
+        chi = legendre(-1, p)
         want = p * (p - chi - 4) // 4
         got = count_two_point_secants(p)
         assert got == want
@@ -105,16 +106,11 @@ def test_each_base_edge_is_a_secant_incidence():
     # edge (a, b, w): the secant of V1 through a, b meets V2 at the point
     # with the smaller x among its hits, recorded as vertex p + x
     p = 13
-    P = Prime(p)
     h, vmap, _ = build_base(p)
-    from gridfree import ParabolaSpec, line_parabola_intersections, secant_line
-
-    v1 = ParabolaSpec(P(0))
-    v2 = ParabolaSpec(P(1))
     for a, b, w in h.edges:
-        hits = line_parabola_intersections(secant_line(P(a), P(b), v1), v2)
+        hits = line_parabola_intersections(*secant_line(a, b, 0, p), 1, p)
         assert hits, (a, b)
-        assert w == p + min(q.x.residue for q in hits)
+        assert w == p + hits[0]
 
 
 def test_random_rho_one_reproduces_base():
@@ -142,15 +138,10 @@ def test_random_is_deterministic_and_seed_sensitive():
 
 
 def test_random_edges_match_geometric_recount():
-    # rebuild the whole edge set from the published pool with geometry
-    # objects: an edge exists iff the secant has a kept V2 hit, and the
-    # edge's third vertex is the kept hit with the smallest x
-    from gridfree import ParabolaSpec, line_parabola_intersections, secant_line
-
+    # rebuild the whole edge set from the published pool one secant at a
+    # time: an edge exists iff the secant has a kept V2 hit, and the edge's
+    # third vertex is the kept hit with the smallest x
     for p, seed in ((11, 1), (13, 3)):
-        P = Prime(p)
-        v1 = ParabolaSpec(P(0))
-        v2 = ParabolaSpec(P(1))
         hr, vmap, rep = build_random(p, 1, 2, seed)
         assert is_linear(hr)
         pool = select_subset(p, 1, 2, seed)
@@ -161,8 +152,8 @@ def test_random_edges_match_geometric_recount():
         want = []
         for a in range(p):
             for b in range(a + 1, p):
-                hits = line_parabola_intersections(secant_line(P(a), P(b), v1), v2)
-                kept = sorted(q.x.residue for q in hits if q.x.residue in pool_rank)
+                hits = line_parabola_intersections(*secant_line(a, b, 0, p), 1, p)
+                kept = [x for x in hits if x in pool_rank]
                 if kept:
                     want.append((a, b, pool_rank[kept[0]]))
         assert sorted(want) == list(hr.edges)
@@ -223,10 +214,7 @@ def test_qr_linearity_and_density_trend():
 
 
 def test_qr_two_point_count_is_independently_recountable():
-    from gridfree import sqrt_mod
-
     for p in (7, 11, 13):
-        P = Prime(p)
         h, vmap, rep = build_qr(p)
         squares = {x * x % p for x in range(p)}
         both = 0
@@ -239,9 +227,9 @@ def test_qr_two_point_count_is_independently_recountable():
                     continue
                 seen.add((m, c))
                 disc = ((a - b) ** 2 + 4) % p
-                if legendre(P(disc)) != 1:
+                if legendre(disc, p) != 1:
                     continue
-                r = min(e.residue for e in sqrt_mod(P(disc)))
+                r = min(oracles.sqrt_scan(p, disc))
                 inv2 = pow(2, -1, p)
                 x1 = (m - r) * inv2 % p
                 x2 = (m + r) * inv2 % p

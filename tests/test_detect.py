@@ -14,14 +14,17 @@ from gridfree import (
     find_grid,
     find_prism,
     find_small_two_core,
-    grid_fixture,
     min_degree,
-    pasch_fixture,
-    prism_fixture,
     two_core,
 )
+from gridfree.detect import GRID_EDGES, PRISM_EDGES
+
+GRID = Hypergraph3.from_edges(9, GRID_EDGES)
+PRISM = Hypergraph3.from_edges(9, PRISM_EDGES)
+PASCH = Hypergraph3.from_edges(6, oracles.PASCH_EDGES)
 
 BASE7_PRISM = (0, 1, 6, 8, 11, 13)
+
 BASE7_CORE12 = (
     (0, 1, 10), (0, 2, 8), (0, 6, 9), (1, 2, 11), (1, 3, 9), (1, 6, 7),
     (2, 3, 7), (2, 4, 10), (3, 4, 8), (3, 5, 11), (4, 5, 7), (5, 6, 8),
@@ -29,7 +32,7 @@ BASE7_CORE12 = (
 
 
 def test_grid_fixture_witness():
-    g = grid_fixture()
+    g = GRID
     w = find_grid(g)
     assert w is not None
     assert (w.rows, w.cols) == ((0, 4, 5), (1, 2, 3))
@@ -40,7 +43,7 @@ def test_grid_fixture_witness():
 
 
 def test_prism_fixture_witness():
-    pr = prism_fixture()
+    pr = PRISM
     w = find_prism(pr)
     assert w is not None
     assert w.edges == (0, 1, 2, 3, 4, 5)
@@ -49,9 +52,9 @@ def test_prism_fixture_witness():
 
 
 def test_fixtures_do_not_cross_match():
-    assert find_prism(grid_fixture()) is None
-    assert find_grid(prism_fixture()) is None
-    assert find_grid(pasch_fixture()) is None
+    assert find_prism(GRID) is None
+    assert find_grid(PRISM) is None
+    assert find_grid(PASCH) is None
     empty = Hypergraph3(0, ())
     assert find_grid(empty) is None
     assert find_prism(empty) is None
@@ -59,7 +62,7 @@ def test_fixtures_do_not_cross_match():
 
 
 def test_pasch_is_the_smallest_linear_core():
-    pa = pasch_fixture()
+    pa = PASCH
     w = find_small_two_core(pa, 6)
     assert w is not None
     assert w.edges == (0, 1, 2, 3)
@@ -135,7 +138,7 @@ def test_planted_prisms_are_found():
 
 
 def test_two_core_examples():
-    g = grid_fixture()
+    g = GRID
     assert two_core(g) == g
     single = Hypergraph3.from_edges(3, [(0, 1, 2)])
     assert two_core(single).m == 0
@@ -207,19 +210,19 @@ def test_nine_vertex_witnesses_have_six_or_more_edges():
 
 
 def test_max_vertices_validation():
-    h = pasch_fixture()
+    h = PASCH
     for bad in (3, 11, 0):
         with pytest.raises(ValueError):
             find_small_two_core(h, bad)
 
 
 def test_witness_validate_rejects_tampering():
-    g = grid_fixture()
+    g = GRID
     w = find_grid(g)
     bad = GridWitness(rows=w.rows, cols=(1, 2, 4), vertices=w.vertices)
     with pytest.raises(ValueError):
         bad.validate(g)
-    pr = prism_fixture()
+    pr = PRISM
     c = find_prism(pr)
     with pytest.raises(ValueError):
         CoreWitness(edges=c.edges[:-1] + (0,), vertices=c.vertices,
@@ -229,14 +232,14 @@ def test_witness_validate_rejects_tampering():
 
 
 def test_witness_json_shapes():
-    g = grid_fixture()
+    g = GRID
     w = find_grid(g)
     assert w.to_json_dict() == {
         "rows": [0, 4, 5],
         "cols": [1, 2, 3],
         "vertices": list(range(9)),
     }
-    c = find_prism(prism_fixture())
+    c = find_prism(PRISM)
     assert c.to_json_dict() == {
         "edges": [0, 1, 2, 3, 4, 5],
         "vertices": list(range(9)),
@@ -258,7 +261,7 @@ def _padded(h: Hypergraph3, rng: random.Random) -> tuple[Hypergraph3, list[int]]
 def test_padding_with_isolated_vertices_keeps_every_witness():
     h7, _, _ = build_base(7)
     q7, _, _ = build_qr(7)
-    hosts = [grid_fixture(), prism_fixture(), pasch_fixture(), h7, q7, Hypergraph3(4, ())]
+    hosts = [GRID, PRISM, PASCH, h7, q7, Hypergraph3(4, ())]
     for i in range(12):
         rng = random.Random(9000 + i)
         plant = oracles.plant_grid if i % 2 else oracles.plant_prism

@@ -9,17 +9,12 @@ import pytest
 
 import gridfree
 from gridfree import (
-    AffinePoint,
     ConstructionReport,
     CoreWitness,
     CoverageResult,
     GridWitness,
     Hypergraph3,
-    InvalidPrimeError,
     LemmaInstance,
-    Line,
-    ParabolaSpec,
-    Prime,
     VertexInfo,
     VertexMap,
     reciprocity_check,
@@ -27,17 +22,9 @@ from gridfree import (
 )
 from gridfree.record import Record
 
-F7 = Prime(7)
-
 # One valid instance of every record in the package, several where a field
 # can be None or __post_init__ rewrites a field.
 SAMPLES = [
-    Prime(7),
-    Prime(1009),
-    AffinePoint(F7(3), F7(2)),
-    Line(F7(2), F7(5)),
-    Line(None, F7(3)),
-    ParabolaSpec(F7(1)),
     Hypergraph3(4, [[0, 1, 2], (1, 2, 3)]),
     Hypergraph3(0, ()),
     VertexInfo("V1", 2, 4),
@@ -123,8 +110,9 @@ def test_records_of_different_classes_are_unequal():
             if type(a) is not type(b):
                 assert a != b
     # the same field values in another class
-    assert AffinePoint(F7(1), F7(2)) != Line(F7(1), F7(2))
-    assert len({AffinePoint(F7(1), F7(2)), Line(F7(1), F7(2))}) == 2
+    fields = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+    assert GridWitness(*fields) != CoreWitness(*fields)
+    assert len({GridWitness(*fields), CoreWitness(*fields)}) == 2
 
 
 @pytest.mark.parametrize("record", SAMPLES, ids=repr)
@@ -145,10 +133,10 @@ def test_constructor_refuses_missing_extra_and_repeated_arguments(record):
 def test_post_init_still_validates():
     with pytest.raises(ValueError, match="not strictly ascending"):
         Hypergraph3(3, ((0, 2, 1),))
-    with pytest.raises(InvalidPrimeError):
-        Prime(9)
-    with pytest.raises(InvalidPrimeError):
-        Prime(value=15)
+    with pytest.raises(ValueError, match="k must lie"):
+        LemmaInstance(4, 5, ())
+    with pytest.raises(ValueError, match="N must be"):
+        LemmaInstance(N=1, k=0, H=())
     with pytest.raises(ValueError, match="unknown origin"):
         VertexInfo(origin="V3", x=0, y=0)
     with pytest.raises(ArithmeticError):
