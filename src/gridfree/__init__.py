@@ -32,6 +32,7 @@ from .hypergraph import (
     degrees,
     encode,
     is_linear,
+    linear_witness,
     min_degree,
 )
 from .construct import (
@@ -86,6 +87,7 @@ __all__ = [
     "VertexMap",
     "FormatError",
     "is_linear",
+    "linear_witness",
     "density",
     "degrees",
     "min_degree",

@@ -27,7 +27,7 @@ from .construct import build_base, build_qr, build_random
 from .detect import find_grid, find_prism, find_small_two_core
 from .ffield import InvalidPrimeError, check_prime, is_prime
 from .geometry import pascal_collinear
-from .hypergraph import FormatError, decode, encode, is_linear
+from .hypergraph import FormatError, decode, encode, is_linear, linear_witness
 from .lemma import (
     EXHAUSTIVE_LIMIT,
     best_subset,
@@ -207,16 +207,6 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _linear_witness(h):
-    seen = {}
-    for idx, (a, b, c) in enumerate(h.edges):
-        for pair in ((a, b), (a, c), (b, c)):
-            if pair in seen:
-                return {"pair": list(pair), "edges": [seen[pair], idx]}
-            seen[pair] = idx
-    return None
-
-
 def cmd_verify(args) -> int:
     h = _read_hypergraph(args.infile)
     if h is None:
@@ -235,7 +225,8 @@ def cmd_verify(args) -> int:
         witness = None
         if name == "linear":
             if not is_linear(h):
-                witness = _linear_witness(h)
+                pair, first, second = linear_witness(h)
+                witness = {"pair": list(pair), "edges": [first, second]}
         elif name == "gridfree":
             found = find_grid(h)
             if found is not None:

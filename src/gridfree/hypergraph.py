@@ -13,19 +13,24 @@ lexicographically with no duplicates, and isolated vertices are first-class
 The constructor checks all of this in one pass over the edges and walks
 them edge by edge only to name the first offender.  encode formats edge
 lines from a table of id strings over the covered ids, so each id is
-converted once.  decode hands an edge body in encode's exact
-form to that one check after a bulk parse; any other body is read line by
-line, so errors carry its line numbers.  Hypergraphs are one tuple per
-edge with no reference cycles, so the CLI runs each command with the
-cyclic garbage collector paused and reference counting frees them.
-Linearity (every vertex pair in at most one edge) is checked in O(m) via
-pair occupancy.  Densities are exact rationals.  Provenance is plain
-integers: each vertex's origin and its point (x, y) as residues in [0, p).
+converted once, and joins them a chunk of lines at a time.  decode
+recognizes an edge body in encode's exact form by deleting its digits,
+parses it a chunk of whole lines at a time into one edge list, and hands
+that to the constructor's one check; any other body is read line by line,
+so errors carry its line numbers.  Neither direction holds a string per
+edge or per id of the whole body, only one chunk's worth, and decode
+shares one int per distinct id.  Hypergraphs are one tuple per edge with
+no reference cycles, so the CLI runs each command with the cyclic garbage
+collector paused and reference counting frees them.  Linearity (every
+vertex pair in at most one edge) is checked in O(m) on per-vertex partner
+lists that hold the edges' own ints.  Densities are exact rationals.
+Provenance is plain integers: each vertex's origin and its point (x, y)
+as residues in [0, p).
 """
 
 from __future__ import annotations
 
-import re
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, islice
 from operator import itemgetter, lt
@@ -40,6 +45,7 @@ __all__ = [
     "VertexMap",
     "ORIGINS",
     "is_linear",
+    "linear_witness",
     "density",
     "degrees",
     "min_degree",
@@ -49,6 +55,12 @@ __all__ = [
 ]
 
 ORIGINS = ("V1", "V2", "S-of-V1", "S-of-V2")
+
+# The codec works on the edge body a chunk at a time: decode splits about
+# this many characters of whole lines at once, encode joins this many edge
+# lines at once.
+_CHUNK_CHARS = 1 << 16
+_CHUNK_EDGES = 1 << 12
 
 
 class FormatError(ValueError):
@@ -120,14 +132,27 @@ class Hypergraph3(Record):
 
 def is_linear(h: Hypergraph3) -> bool:
     """True when every vertex pair lies in at most one edge (O(m))."""
-    n = h.n
-    edges = h.edges
-    # a*n + b codes the pair {a, b}; an edge's three pairs are distinct, so
-    # the codes are all distinct exactly when no pair repeats across edges.
-    codes = {a * n + b for a, b, _ in edges}
-    codes.update([a * n + c for a, _, c in edges])
-    codes.update([b * n + c for _, b, c in edges])
-    return len(codes) == 3 * len(edges)
+    # The pair {x, y} with x < y is listed under its owner x: edge (a, b, c)
+    # lists b and c under a and c under b.  A pair repeats exactly when some
+    # owner lists a partner twice.
+    partners = defaultdict(list)
+    for a, b, c in h.edges:
+        partners[a] += b, c
+        partners[b].append(c)
+    return all(len(set(listed)) == len(listed) for listed in partners.values())
+
+
+def linear_witness(h: Hypergraph3) -> tuple[tuple[int, int], int, int] | None:
+    """The first repeated vertex pair in edge-index order, with the indices
+    of the earlier edge holding it and the edge that repeats it; None when
+    h is linear."""
+    seen = {}
+    for idx, (a, b, c) in enumerate(h.edges):
+        for pair in ((a, b), (a, c), (b, c)):
+            if pair in seen:
+                return pair, seen[pair], idx
+            seen[pair] = idx
+    return None
 
 
 def density(h: Hypergraph3) -> Fraction:
@@ -196,7 +221,9 @@ def encode(h: Hypergraph3, vertex_map: VertexMap | None = None) -> str:
     take each id's text from a table with at most 3m entries: a list over
     0..(largest id on an edge) when that id is below 3m, as in builder
     output, else a dict over the covered ids.  Isolated vertices cost
-    nothing however large n is.
+    nothing however large n is.  Edge lines are joined _CHUNK_EDGES at a
+    time, so the only strings as long as the body are the chunks and the
+    result.
     """
     lines = []
     if vertex_map is not None:
@@ -214,8 +241,12 @@ def encode(h: Hypergraph3, vertex_map: VertexMap | None = None) -> str:
         name = list(map(str, range(top + 1)))
     else:
         name = {v: str(v) for v in set(chain.from_iterable(edges))}
-    lines += [f"{name[a]} {name[b]} {name[c]}" for a, b, c in edges]
-    return "\n".join(lines) + "\n"
+    chunks = ["\n".join(lines)]
+    for i in range(0, len(edges), _CHUNK_EDGES):
+        chunk = edges[i:i + _CHUNK_EDGES]
+        chunks.append("\n".join([f"{name[a]} {name[b]} {name[c]}" for a, b, c in chunk]))
+    chunks.append("")  # the final newline, without a second copy of the text
+    return "\n".join(chunks)
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
@@ -237,22 +268,51 @@ def decode_with_provenance(text: str) -> tuple[Hypergraph3, VertexMap | None]:
     return _parse(text, want_provenance=True)
 
 
-# An edge body exactly as encode writes it: single spaces, no signs, no
-# other whitespace, one trailing newline per line.
-_CANONICAL_BODY = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
+# The str.translate table that deletes the ASCII digits.
+_DELETE_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
+
+
+def _encode_form(body: str, m: int) -> bool:
+    """Whether body is m lines as encode writes them: three runs of ASCII
+    digits, a single space between runs and a newline after each line.
+
+    The tests run cheapest first.  The line count bounds the expected
+    string by the body.  Deleting the digits must leave "  \n" per line,
+    so the only characters are digits, the two spaces and the newline, in
+    that layout.  Then there must be 3m tokens, that is, no run is empty:
+    no line starts or ends with a space and no two spaces touch.
+    """
+    return (
+        body.count("\n") == m
+        and body.translate(_DELETE_DIGITS) == "  \n" * m
+        and not body.startswith(" ")
+        and "\n " not in body
+        and "  " not in body
+        and " \n" not in body
+    )
 
 
 def _canonical_body(text: str, start: int, n: int, m: int) -> Hypergraph3 | None:
     """The hypergraph of an edge body (text from offset start on) of m lines
-    in encode's form that passes the constructor's checks, parsed in bulk;
-    None for any other body, which the line loop then parses or locates."""
-    if text.count("\n", start) != m or not _CANONICAL_BODY.fullmatch(text, start):
+    in encode's form that passes the constructor's checks, parsed in bulk
+    _CHUNK_CHARS of whole lines at a time; None for any other body, which
+    the line loop then parses or locates."""
+    body = text[start:]
+    if not _encode_form(body, m):
         return None
-    tokens = text[start:].split()
+    value: dict[str, int] = {}  # each distinct id parsed once, its int shared
+    edges: list[tuple[int, int, int]] = []
+    pos = 0
     try:  # int() refuses ids longer than Python's digit limit
-        value = {t: int(t) for t in set(tokens)}  # each distinct id parsed once
-        ids = map(value.__getitem__, tokens)
-        return Hypergraph3(n, tuple(zip(ids, ids, ids)))
+        while pos < len(body):
+            end = body.find("\n", pos + _CHUNK_CHARS) + 1 or len(body)
+            tokens = body[pos:end].split()
+            new = set(tokens).difference(value)
+            value.update(zip(new, map(int, new)))
+            ids = map(value.__getitem__, tokens)
+            edges += zip(ids, ids, ids)
+            pos = end
+        return Hypergraph3(n, edges)
     except ValueError:
         return None
 

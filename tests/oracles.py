@@ -7,7 +7,9 @@ instead of the package generator, projective points over a minimal field
 type of their own, and the audit's plain loops (a coverage rescan per
 subset, a pool copy per draw, one comprehension per delta row) as
 references for the popcount search, the sparse shuffle and the gathered
-rows.  The package is imported only for the records the oracles return,
+rows.  The codec's retired fast paths stay here as references too: the
+regex for an edge body in encode's form, linearity by a set of pair codes,
+and the first-repeated-pair loop the CLI once ran.  The package is imported only for the records the oracles return,
 the generator they replay, and the closed form the census reports beside
 its count.  Seeded generators for random and planted instances also live
 here so the tests and the acceptance gate draw from the same well.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +48,16 @@ def encode_by_lines(h: Hypergraph3, vertex_map=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# An edge body exactly as encode writes it: single spaces, no signs, no
+# other whitespace, one trailing newline per line.
+CANONICAL_BODY = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
+
+
+def canonical_body_by_regex(body: str) -> bool:
+    """Whether body is whole edge lines in encode's form, by regex."""
+    return CANONICAL_BODY.fullmatch(body) is not None
+
+
 def sqrt_scan(p: int, a: int) -> list[int]:
     """All y in [0, p) with y*y = a (mod p), by full scan."""
     a %= p
@@ -67,6 +80,30 @@ def is_linear_by_pairs(edges) -> bool:
                 return False
             seen.add(pair)
     return True
+
+
+def is_linear_by_pair_codes(h: Hypergraph3) -> bool:
+    """Linearity by counting distinct pair codes: a*n + b codes the pair
+    {a, b}, and an edge's three pairs are distinct, so the 3m codes are all
+    distinct exactly when no pair repeats across edges."""
+    n = h.n
+    codes = {a * n + b for a, b, _ in h.edges}
+    codes.update([a * n + c for a, _, c in h.edges])
+    codes.update([b * n + c for _, b, c in h.edges])
+    return len(codes) == 3 * len(h.edges)
+
+
+def linear_witness_by_loop(h: Hypergraph3):
+    """The `verify --checks linear` witness JSON: the first pair that
+    repeats in edge-index order, with the earlier edge and the repeating
+    one; None for a linear hypergraph."""
+    seen = {}
+    for idx, (a, b, c) in enumerate(h.edges):
+        for pair in ((a, b), (a, c), (b, c)):
+            if pair in seen:
+                return {"pair": list(pair), "edges": [seen[pair], idx]}
+            seen[pair] = idx
+    return None
 
 
 def intersections_by_scan(p: int, slope: int, intercept: int, shift: int):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from childenv import child_env
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -121,6 +123,24 @@ def test_verify_linear_witness(tmp_path):
     data = json.loads(proc.stdout)
     assert data["failed"] == "linear"
     assert data["witness"] == {"pair": [0, 1], "edges": [0, 1]}
+
+
+def test_linear_witness_matches_loop_oracle(tmp_path, capsys):
+    from gridfree import cli, encode
+
+    violations = 0
+    for i in range(60):
+        rng = random.Random(i)
+        h = oracles.random_hypergraph(rng, rng.randint(5, 12), rng.randint(2, 14))
+        expected = oracles.linear_witness_by_loop(h)
+        if expected is None:
+            continue
+        violations += 1
+        path = tmp_path / "h.hg3"
+        path.write_text(encode(h))
+        assert cli.main(["verify", "--in", str(path), "--checks", "linear"]) == 1
+        assert json.loads(capsys.readouterr().out)["witness"] == expected, i
+    assert violations >= 40
 
 
 def test_detect_core_golden(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from gridfree import hypergraph
 from gridfree import (
     FormatError,
     Hypergraph3,
@@ -20,9 +21,16 @@ from gridfree import (
     density,
     encode,
     is_linear,
+    linear_witness,
     min_degree,
 )
 from fractions import Fraction
+
+
+@pytest.fixture(scope="module")
+def base1009():
+    """build_base(1009): m = 254,268 edges, about 3.6 MB of edge body."""
+    return build_base(1009)
 
 
 def test_constructor_validates_edges():
@@ -55,8 +63,55 @@ def test_is_linear_matches_pair_oracle():
         rng = random.Random(i)
         h = oracles.random_hypergraph(rng, rng.randint(5, 12), rng.randint(1, 14))
         assert is_linear(h) == oracles.is_linear_by_pairs(h.edges), i
+        assert is_linear(h) == oracles.is_linear_by_pair_codes(h), i
     assert is_linear(Hypergraph3(0, ()))
     assert not is_linear(Hypergraph3.from_edges(4, [(0, 1, 2), (0, 1, 3)]))
+
+
+# Two edges sharing a pair in every pair of roles it can take in them: as
+# (first, second), (first, third) or (second, third) of each edge.
+CROSS_ROLE_REPEATS = [
+    ((0, 1, 2), (0, 1, 3)),
+    ((0, 1, 5), (0, 3, 5)),
+    ((0, 1, 3), (0, 3, 4)),
+    ((0, 1, 5), (1, 2, 5)),
+    ((0, 1, 2), (1, 2, 3)),
+    ((0, 1, 4), (1, 4, 5)),
+    ((0, 1, 3), (1, 2, 3)),
+    ((0, 2, 3), (1, 2, 3)),
+    ((0, 2, 5), (1, 2, 5)),
+]
+# Two edges meeting in one vertex, in each pair of roles.
+ONE_VERTEX_MEETS = [
+    ((0, 1, 2), (0, 3, 4)),
+    ((0, 1, 2), (1, 3, 4)),
+    ((0, 1, 5), (1, 2, 4)),
+    ((0, 1, 3), (2, 3, 4)),
+    ((0, 3, 4), (1, 2, 3)),
+    ((0, 1, 4), (2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("pair_of_edges", CROSS_ROLE_REPEATS + ONE_VERTEX_MEETS)
+def test_is_linear_across_roles(pair_of_edges):
+    linear = pair_of_edges in ONE_VERTEX_MEETS
+    # alone, after other edges on the same owners, and among unrelated edges
+    for extra in ((), ((0, 6, 7), (1, 6, 8)), ((6, 7, 8), (6, 9, 10))):
+        h = Hypergraph3.from_edges(11, pair_of_edges + extra)
+        assert oracles.is_linear_by_pairs(h.edges) == linear
+        assert oracles.is_linear_by_pair_codes(h) == linear
+        assert is_linear(h) == linear
+        assert (linear_witness(h) is None) == linear
+
+
+def test_linear_witness_names_the_first_repeat():
+    h = Hypergraph3.from_edges(9, [(0, 1, 5), (1, 2, 5), (2, 3, 4), (2, 3, 8)])
+    # {1, 5} repeats at edge 1, before {2, 3} repeats at edge 3
+    assert linear_witness(h) == ((1, 5), 0, 1)
+    h = Hypergraph3.from_edges(9, [(0, 1, 2), (0, 3, 4), (0, 4, 8), (3, 4, 5)])
+    # edge 2 repeats {0, 4} of edge 1; edge 3 repeats {3, 4} of edge 1
+    assert linear_witness(h) == ((0, 4), 1, 2)
+    assert linear_witness(Hypergraph3(3, ((0, 1, 2),))) is None
 
 
 def test_density_and_degrees():
@@ -94,6 +149,94 @@ def test_encode_with_provenance_round_trips():
 
 
 ENCODE_PRIMES = [p for p in range(5, 212, 2) if all(p % q for q in range(3, p, 2))]
+
+
+def test_p_1009_round_trip_crosses_chunks(base1009):
+    h, vmap, _ = base1009
+    assert h.m == 254_268
+    text = encode(h)
+    assert len(text) > 40 * hypergraph._CHUNK_CHARS
+    assert h.m > 40 * hypergraph._CHUNK_EDGES
+    assert text == oracles.encode_by_lines(h)
+    assert decode(text) == h
+    text = encode(h, vmap)
+    assert text == oracles.encode_by_lines(h, vmap)
+    assert decode_with_provenance(text) == (h, vmap)
+
+
+@pytest.mark.parametrize("chars,edges", [(1, 1), (5, 2), (16, 3), (40, 7)])
+def test_round_trips_do_not_depend_on_chunk_sizes(monkeypatch, chars, edges):
+    monkeypatch.setattr(hypergraph, "_CHUNK_CHARS", chars)
+    monkeypatch.setattr(hypergraph, "_CHUNK_EDGES", edges)
+    cases = [build_base(7), build_qr(11), build_random(13, 1, 2, 5)]
+    cases.append((Hypergraph3(4, ((0, 1, 2),)), None, None))
+    cases.append((Hypergraph3(4, ()), None, None))
+    for h, vmap, _ in cases:
+        text = encode(h, vmap)
+        assert text == oracles.encode_by_lines(h, vmap)
+        assert decode_with_provenance(text) == (h, vmap)
+    with pytest.raises(FormatError) as exc:
+        decode("6 3\n0 1 2\n0 3 4\n0 1 5\n")
+    assert exc.value.line == 4 and "out of lexicographic order" in str(exc.value)
+
+
+def _plant(text: str, k: int, line: str) -> str:
+    """text with its edge line k (0-based, after a one-line header) replaced."""
+    lines = text.split("\n")
+    lines[k + 1] = line
+    return "\n".join(lines)
+
+
+def test_planted_lines_past_the_first_chunk():
+    h, _, _ = build_base(211)
+    text = encode(h)
+    k = 3 * h.m // 4
+    a, b, c = h.edges[k]
+    assert text.index(f"\n{a} {b} {c}\n") > hypergraph._CHUNK_CHARS
+    # lenient lines, read by the line loop (leading zeros by the bulk parse)
+    for line in (f"{a}\t{b} {c}", f"+{a} {b} {c}", f"{a}  {b} {c}", f"{a} {b} {c} ",
+                 f"{a} {b} {c}\r", f"0{a} {b} 00{c}"):
+        assert decode(_plant(text, k, line)) == h, repr(line)
+    # lines the line loop rejects, in encode's form or not; line k + 2 of the
+    # file is edge k
+    nxt = " ".join(map(str, h.edges[k + 1]))
+    for planted, line, fragment in (
+        (_plant(text, k, f"{a} {b} {h.n}"), k + 2, "vertex id out of range"),
+        (_plant(text, k, f"{a}\t{b} {h.n}"), k + 2, "vertex id out of range"),
+        (_plant(text, k, f"+{a} {b} {h.n}"), k + 2, "vertex id out of range"),
+        (_plant(text, k, f"{a} {b} {c}x"), k + 2, "is not an integer"),
+        (_plant(text, k, f"{a} {b}"), k + 2, "three vertex ids, got 2"),
+        (_plant(text, k, nxt), k + 3, "duplicate edge"),
+        (_plant(_plant(text, k, nxt), k + 1, f"{a} {b} {c}"), k + 3,
+         "out of lexicographic order"),
+    ):
+        with pytest.raises(FormatError) as exc:
+            decode(planted)
+        assert exc.value.line == line and fragment in str(exc.value)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of tracemalloc's traced memory during it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_codec_and_linearity_memory_at_p_1009(base1009):
+    h, vmap, _ = base1009
+    text, peak = _traced_peak(encode, h, vmap)
+    assert peak <= 12 << 20, peak
+    decoded, peak = _traced_peak(decode, text)  # the result counts too
+    assert decoded == h
+    assert peak <= 32 << 20, peak
+    del decoded
+    linear, peak = _traced_peak(is_linear, h)
+    assert linear
+    assert peak <= 16 << 20, peak
 
 
 @pytest.mark.parametrize("p", ENCODE_PRIMES)
@@ -169,6 +312,69 @@ def test_random_graph_round_trips(data):
     h = oracles.random_hypergraph(random.Random(data.draw(st.integers(0, 10**6))), n, m) \
         if m else Hypergraph3(n, ())
     assert decode(encode(h)) == h
+
+
+# What a body mutation may insert or substitute: the characters of
+# encode's form, other whitespace, a sign, a letter and a non-ASCII digit.
+BODY_ALPHABET = "0123456789 \n\t\r+x\u0663"
+
+
+def _mutate(body: str, edits) -> str:
+    for kind, at, ch in edits:
+        if kind == "insert":
+            at %= len(body) + 1
+            body = body[:at] + ch + body[at:]
+        elif body:
+            at %= len(body)
+            body = body[:at] + (ch if kind == "substitute" else "") + body[at + 1:]
+    return body
+
+
+@given(
+    # mostly one-digit ids, so one deletion can empty a run
+    st.lists(st.tuples(*[st.integers(0, 12)] * 3), max_size=4),
+    st.lists(st.tuples(st.sampled_from(["insert", "delete", "substitute"]),
+                       st.integers(0, 10**4), st.sampled_from(BODY_ALPHABET)),
+             max_size=4),
+)
+def test_digit_deletion_accepts_exactly_the_regex_bodies(triples, edits):
+    body = _mutate("".join(f"{a} {b} {c}\n" for a, b, c in triples), edits)
+    if body and not body.endswith("\n"):
+        return  # decode's trailing-newline check refuses such texts first
+    by_regex = oracles.canonical_body_by_regex(body)
+    assert hypergraph._encode_form(body, body.count("\n")) == by_regex
+    m = len(triples)
+    assert hypergraph._encode_form(body, m) == (by_regex and body.count("\n") == m)
+
+
+@pytest.mark.parametrize("body,accepted", [
+    ("", True),
+    ("0 1 2\n", True),
+    ("00 01 2\n10 11 12\n", True),
+    # an empty first, second or third run, on the first line or a later one
+    (" 1 2\n", False),
+    ("0  2\n", False),
+    ("0 1 \n", False),
+    ("0 1 2\n 4 5\n", False),
+    ("0 1 2\n3  5\n", False),
+    ("0 1 2\n3 4 \n", False),
+    # extra spaces
+    (" 0 1 2\n", False),
+    ("0 1 2 \n", False),
+    ("0  1 2\n", False),
+    ("0 1 2\n 3 4\n", False),
+    ("0 1 2\n3 4 5 6\n", False),
+    ("0 1 2\n\n", False),
+    ("\n", False),
+    ("0 1 2\r\n", False),
+    ("0\t1 2\n", False),
+    ("+0 1 2\n", False),
+    ("0 1 2x\n", False),
+    ("0 1 \u0663\n", False),
+])
+def test_digit_deletion_edge_cases(body, accepted):
+    assert oracles.canonical_body_by_regex(body) == accepted
+    assert hypergraph._encode_form(body, body.count("\n")) == accepted
 
 
 PARSE_ERRORS = [
