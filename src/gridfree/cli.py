@@ -6,6 +6,14 @@ outputs) so identical invocations produce byte-identical output; wall-clock
 timing goes to stderr, never into the reports.  Exit codes: 0 success,
 1 a contracted identity or requested check failed, 2 usage or parse error.
 Each command runs with the cyclic garbage collector paused.
+
+Two commands stream instead of holding a hypergraph.  `construct --out`
+writes the construction's edge chunks to a temporary file as the sweep
+yields them and copies them behind the header once the report has
+validated their count.  `verify --checks linear` reads the file a chunk of
+whole lines at a time (twice when it must name a witness); a file the
+stream does not accept is read whole instead, so its errors are reported
+exactly as before.
 """
 
 from __future__ import annotations
@@ -17,17 +25,25 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from pathlib import Path
 
 from . import __version__
 from .charsum import delta_sum_check, gauss_sum_check, reciprocity_check, secant_census
-from .construct import build_base, build_qr, build_random
+from .construct import build_base, build_qr, build_random, construction
 from .detect import find_grid, find_prism, find_small_two_core
 from .ffield import InvalidPrimeError, check_prime, is_prime
 from .geometry import pascal_collinear
-from .hypergraph import FormatError, decode, encode, is_linear, linear_witness
+from .hypergraph import (
+    FormatError,
+    decode,
+    encode_head,
+    file_linear_witness,
+    is_linear,
+    linear_witness,
+    write_edges,
+)
 from .lemma import (
     EXHAUSTIVE_LIMIT,
     best_subset,
@@ -124,18 +140,42 @@ def _read_hypergraph(path: str):
     return decode(text)
 
 
-def _write_replacing(path: Path, text: str) -> None:
-    """Write text to path through a temporary file beside it and a rename,
-    so a write that fails never leaves path half-written."""
+def _write_replacing(path: Path, pieces) -> None:
+    """Write the strings of pieces to path through a temporary file beside
+    it and a rename, so a write that fails never leaves path half-written."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_instance(path: Path, vmap, chunks, report):
+    """Stream the edge chunks of a construction into the .hg3 file at path
+    and return its validated report.
+
+    The header counts the edges, so the edge lines go first to a second
+    temporary file beside path; once the report has validated their count,
+    the header and those lines are copied into path through
+    _write_replacing.  Only one chunk of edges and one block of text are
+    held at a time.
+    """
+    spool = path.with_name(f".{path.name}.{os.getpid()}.edges.tmp")
+    fd = os.open(spool, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        with open(fd, "w+", encoding="utf-8") as edges:
+            m = write_edges(edges, len(vmap), chunks)
+            validated = report(m)
+            edges.seek(0)
+            blocks = iter(lambda: edges.read(1 << 16), "")
+            _write_replacing(path, chain([encode_head(len(vmap), m, vmap)], blocks))
+    finally:
+        spool.unlink(missing_ok=True)
+    return validated
 
 
 def _int_range(minimum: int):
@@ -166,21 +206,22 @@ def cmd_construct(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    if args.kind == "base":
-        h, vmap, report = build_base(args.p)
-    elif args.kind == "qr":
-        h, vmap, report = build_qr(args.p)
+    params = (args.p,)
+    if args.kind == "random":
+        params += (args.rho.numerator, args.rho.denominator, args.seed)
+    if args.out is None:
+        build = {"base": build_base, "qr": build_qr, "random": build_random}[args.kind]
+        _, _, report = build(*params)
     else:
-        h, vmap, report = build_random(
-            args.p, args.rho.numerator, args.rho.denominator, args.seed
-        )
-
-    outputs = []
-    report_path = None
-    if args.out is not None:
         out_path = Path(args.out)
         report_path = out_path.with_suffix(".report.json")
-        outputs = [str(out_path), str(report_path)]
+        try:
+            report = _write_instance(out_path, *construction(args.kind, *params))
+        except OSError as exc:
+            print(f"cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
+
+    outputs = [] if args.out is None else [str(out_path), str(report_path)]
     manifest = _manifest(
         command="construct",
         parameters={
@@ -194,23 +235,28 @@ def cmd_construct(args) -> int:
     )
     payload = {"manifest": manifest, "report": report.to_json_dict()}
     if args.out is not None:
-        text = encode(h, vmap)
         body = json.dumps(payload, indent=2 if args.pretty else None,
                           separators=None if args.pretty else (",", ":"))
-        for path, content in ((out_path, text), (report_path, body + "\n")):
-            try:
-                _write_replacing(path, content)
-            except OSError as exc:
-                print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
-                return EXIT_USAGE
+        try:
+            _write_replacing(report_path, [body, "\n"])
+        except OSError as exc:
+            print(f"cannot write {report_path}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     _print_json(payload, args.pretty)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    h = _read_hypergraph(args.infile)
-    if h is None:
-        return EXIT_USAGE
+    streamed = None  # (linear witness,) of a file read as a stream
+    if args.checks == "linear":
+        try:
+            streamed = (file_linear_witness(args.infile),)
+        except (OSError, ValueError):
+            pass  # read whole below, so its errors are reported as decode reports them
+    if streamed is None:
+        h = _read_hypergraph(args.infile)
+        if h is None:
+            return EXIT_USAGE
     requested = args.checks.split(",") if args.checks else list(CHECK_NAMES)
     for name in requested:
         if name not in CHECK_NAMES:
@@ -224,8 +270,12 @@ def cmd_verify(args) -> int:
     for name in requested:
         witness = None
         if name == "linear":
-            if not is_linear(h):
-                pair, first, second = linear_witness(h)
+            if streamed is not None:
+                found = streamed[0]
+            else:
+                found = None if is_linear(h) else linear_witness(h)
+            if found is not None:
+                pair, first, second = found
                 witness = {"pair": list(pair), "edges": [first, second]}
         elif name == "gridfree":
             found = find_grid(h)

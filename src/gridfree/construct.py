@@ -17,12 +17,16 @@ smaller x coordinate.  The secant through the points with parameters a and
 a + d has discriminant d^2 -+ 4, which depends on d alone, so all three
 builders filter one table keyed on d: for each d with a square
 discriminant, the offsets that put its candidate third points at a + o
-(mod p).  That takes p character/root lookups instead of p^2/2.  The
-builders emit edges in canonical order and construct the hypergraph
-directly.  Each vertex's provenance is its origin and its point
-(x, x^2 + t) as plain residues mod p.  The geometry module recomputes the
-same incidences one secant at a time, tests/oracles.py keeps the
-pair-by-pair loops, and the tests cross-check all three routes.
+(mod p).  That takes p character/root lookups instead of p^2/2.  One sweep
+(_Sweep) yields the edges a row of plain int columns at a time, in
+canonical order for base and random; qr regroups its rows in per-S
+buckets of ints.  construction() hands those column chunks out as a
+stream, which `construct --out` writes straight to its file, and the
+build_* functions collect them into a Hypergraph3.  Each vertex's
+provenance is its origin and its point (x, x^2 + t) as plain residues
+mod p.  The geometry module recomputes the same incidences one secant at
+a time, tests/oracles.py keeps the pair-by-pair loops, and the tests
+cross-check all three routes.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "build_base",
     "build_random",
     "build_qr",
+    "construction",
     "count_two_point_secants",
     "select_subset",
     "density_ratio",
@@ -149,36 +154,109 @@ def _secant_offsets(pv: int, shift: int) -> list[tuple[int, int, int]]:
     return table
 
 
-def _sweep(
-    pv: int, shift: int, pool: Sequence[int], first_id: int
-) -> tuple[list[tuple[int, int, int]], int]:
+class _Sweep:
     """Every pair a < b of parameters whose secant (see _secant_offsets)
-    meets the other parabola inside the pool, as (a, b, w) in ascending
-    (a, b) order, plus the number of pairs with two candidates in the pool.
+    meets the other parabola inside the pool, one row per a in ascending
+    order: columns ([a] * k, [b ...], [w ...]) of vertex ids, b ascending,
+    w the candidate with the smaller x.  Reading the rows also counts, in
+    two_point, the pairs with two candidates in the pool.
 
     pool lists the kept x coordinates ascending; the point with x = pool[k]
-    is vertex first_id + k, so the smaller-x candidate is the smaller id w.
+    is vertex pool_id + k, so the smaller-x candidate is the smaller id w.
+    The swept parabola's parameter a is vertex line_id + a.
     """
-    out = first_id + len(pool)  # above every pool id: x is not in the pool
-    ids = [out] * pv
-    for rank, x in enumerate(pool):
-        ids[x] = first_id + rank
-    ids += ids  # ids[a + lo] for a + lo < 2p, without reducing mod p
-    table = _secant_offsets(pv, shift)
-    ds = [d for d, _, _ in table]
-    triples = []
-    two_point = 0
-    for a in range(pv):
-        for d, lo, hi in table[: bisect_left(ds, pv - a)]:
-            u = ids[a + lo]
-            v = ids[a + hi]
-            if v < u:
-                u, v = v, u
-            if u < out:
-                triples.append((a, a + d, u))
-                if u < v < out:
-                    two_point += 1
-    return triples, two_point
+
+    def __init__(self, pv: int, shift: int, pool: Sequence[int], pool_id: int,
+                 line_id: int = 0):
+        self.pv, self.shift, self.pool = pv, shift, pool
+        self.pool_id, self.line_id = pool_id, line_id
+        self.two_point = 0
+
+    def __iter__(self):
+        pv, pool_id = self.pv, self.pool_id
+        out = pool_id + len(self.pool)  # above every pool id: x is not in the pool
+        ids = [out] * pv
+        for rank, x in enumerate(self.pool):
+            ids[x] = pool_id + rank
+        ids += ids  # ids[a + lo] for a + lo < 2p, without reducing mod p
+        table = _secant_offsets(pv, self.shift)
+        ds = [d for d, _, _ in table]
+        line = list(range(self.line_id, self.line_id + pv))  # the swept ids, one shared int each
+        for a in range(pv):
+            seconds, thirds = [], []
+            two_point = 0
+            for d, lo, hi in table[: bisect_left(ds, pv - a)]:
+                u = ids[a + lo]
+                v = ids[a + hi]
+                if v < u:
+                    u, v = v, u
+                if u < out:
+                    seconds.append(line[a + d])
+                    thirds.append(u)
+                    if u < v < out:
+                        two_point += 1
+            self.two_point += two_point
+            yield [line[a]] * len(seconds), seconds, thirds
+
+
+def _by_pool_vertex(sweep: _Sweep, pool_size: int):
+    """The rows of a sweep whose pool ids 0..pool_size-1 lie below the
+    swept ids, regrouped by pool vertex w: one column chunk of the edges
+    (w, a, b) per w.  Each w's bucket of plain ints fills in ascending (a, b)
+    order, so the chunks come in canonical order."""
+    buckets = [[] for _ in range(pool_size)]
+    for firsts, seconds, thirds in sweep:
+        for a, b, w in zip(firsts, seconds, thirds):
+            buckets[w] += a, b
+    for w in range(pool_size):
+        ab = buckets[w]
+        buckets[w] = None  # free each bucket once it is read
+        yield [w] * (len(ab) // 2), ab[0::2], ab[1::2]
+
+
+def construction(kind: str, p: int, rho_num: int | None = None, rho_den: int | None = None,
+                 seed: int | None = None):
+    """The instance of kind ("base", "random" or "qr") over F_p, ready to
+    stream: (vertex map, edge chunks, report).
+
+    The chunks give the edges in canonical order as columns (firsts,
+    seconds, thirds), one sweep row at a time (one S vertex at a time for
+    qr), so no edge is held as a tuple.  Once every chunk has been read,
+    report(m) is the ConstructionReport of the m edges.  rho_num, rho_den
+    and seed are build_random's and are only read for kind "random".
+    """
+    pv = check_prime(p, 5)
+    if kind == "qr":
+        squares = sorted({x * x % pv for x in range(pv)})
+        sweep = _Sweep(pv, 4, squares, 0, len(squares))
+        chunks = _by_pool_vertex(sweep, len(squares))
+        points = [VertexInfo("S-of-V1", x, x * x % pv) for x in squares]
+        points += [VertexInfo("V2", x, (x * x + 1) % pv) for x in range(pv)]
+        selection_size = len(squares)
+    elif kind in ("base", "random"):
+        pool = range(pv) if kind == "base" else select_subset(pv, rho_num, rho_den, seed)
+        chunks = sweep = _Sweep(pv, -4, pool, pv)
+        origin = "V2" if kind == "base" else "S-of-V2"
+        points = [VertexInfo("V1", x, x * x % pv) for x in range(pv)]
+        points += [VertexInfo(origin, x, (x * x + 1) % pv) for x in pool]
+        selection_size = len(pool) if kind == "random" else None
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    vmap = VertexMap(pv, points)
+
+    def report(m: int) -> ConstructionReport:
+        return ConstructionReport(pv, kind, len(vmap), m, sweep.two_point, selection_size,
+                                  seed if kind == "random" else None)
+
+    return vmap, iter(chunks), report
+
+
+def _built(vmap: VertexMap, chunks, report) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
+    edges = []
+    for firsts, seconds, thirds in chunks:
+        edges += zip(firsts, seconds, thirds)
+    h = Hypergraph3(len(vmap), edges)
+    return h, vmap, report(h.m)
 
 
 def build_base(p: int) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
@@ -188,12 +266,7 @@ def build_base(p: int) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
     edge takes the smaller-x intersection of the secant with V2.  The edge
     count must equal p(p - chi(-1))/4.
     """
-    pv = check_prime(p, 5)
-    edges, two_point = _sweep(pv, -4, range(pv), pv)
-    h = Hypergraph3(2 * pv, edges)
-    vmap = VertexMap(pv, [VertexInfo("V1", x, x * x % pv) for x in range(pv)]
-                     + [VertexInfo("V2", x, (x * x + 1) % pv) for x in range(pv)])
-    return h, vmap, ConstructionReport(pv, "base", h.n, h.m, two_point, None, None)
+    return _built(*construction("base", p))
 
 
 def count_two_point_secants(p: int) -> int:
@@ -213,13 +286,7 @@ def build_random(
     With rho = 1 the edge set equals build_base(p); with rho = 0 the
     result has no edges and only the p V1 vertices.
     """
-    pv = check_prime(p, 5)
-    selected = select_subset(pv, rho_num, rho_den, seed)
-    edges, two_point = _sweep(pv, -4, selected, pv)
-    h = Hypergraph3(pv + len(selected), edges)
-    vmap = VertexMap(pv, [VertexInfo("V1", x, x * x % pv) for x in range(pv)]
-                     + [VertexInfo("S-of-V2", x, (x * x + 1) % pv) for x in selected])
-    return h, vmap, ConstructionReport(pv, "random", h.n, h.m, two_point, len(selected), seed)
+    return _built(*construction("random", p, rho_num, rho_den, seed))
 
 
 def build_qr(p: int) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
@@ -228,26 +295,7 @@ def build_qr(p: int) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
     (ids 0..|S|-1 and |S|..|S|+p-1, each block ascending by x).  Every
     secant of V2 whose intersection with V1 contains a square x picks the
     smallest such x."""
-    pv = check_prime(p, 5)
-    squares = sorted({x * x % pv for x in range(pv)})
-    s_size = len(squares)
-    triples, two_point = _sweep(pv, 4, squares, 0)
-    # The S vertex is each edge's least id: one bucket per S vertex, each
-    # filled in ascending (a, b) order, concatenates to the canonical order.
-    # Buckets hold plain ints and each edge tuple is made once, in that
-    # order, so the edge list is laid out in memory as it is later walked.
-    buckets = [[] for _ in range(s_size)]
-    for a, b, w in triples:
-        buckets[w] += (a, b)
-    del triples
-    edges = []
-    for w, bucket in enumerate(buckets):
-        ab = iter(bucket)
-        edges += [(w, s_size + a, s_size + b) for a, b in zip(ab, ab)]
-    h = Hypergraph3(s_size + pv, edges)
-    vmap = VertexMap(pv, [VertexInfo("S-of-V1", x, x * x % pv) for x in squares]
-                     + [VertexInfo("V2", x, (x * x + 1) % pv) for x in range(pv)])
-    return h, vmap, ConstructionReport(pv, "qr", h.n, h.m, two_point, s_size, None)
+    return _built(*construction("qr", p))
 
 
 def density_ratio(rho) -> Fraction:

@@ -11,25 +11,33 @@ lexicographically with no duplicates, and isolated vertices are first-class
     a b c        (m lines, each ascending, list sorted, trailing newline)
 
 The constructor checks all of this in one pass over the edges and walks
-them edge by edge only to name the first offender.  encode formats edge
-lines from a table of id strings over the covered ids, so each id is
-converted once, and joins them a chunk of lines at a time.  decode
-recognizes an edge body in encode's exact form by deleting its digits,
-parses it a chunk of whole lines at a time into one edge list, and hands
-that to the constructor's one check; any other body is read line by line,
-so errors carry its line numbers.  Neither direction holds a string per
-edge or per id of the whole body, only one chunk's worth, and decode
-shares one int per distinct id.  Hypergraphs are one tuple per edge with
-no reference cycles, so the CLI runs each command with the cyclic garbage
-collector paused and reference counting frees them.  Linearity (every
-vertex pair in at most one edge) is checked in O(m) on per-vertex partner
-lists that hold the edges' own ints.  Densities are exact rationals.
+them edge by edge only to name the first offender.  Streams of edges
+travel as column chunks (firsts, seconds, thirds), checked chunk by chunk
+against the same rules by _canonical_chunk.  One formatter writes edge
+lines from a table of id strings, so each id is converted once: encode
+runs it over a hypergraph's edges a chunk at a time, and write_edges over
+a construction's column chunks into a file, without any Hypergraph3.  One
+chunk parser recognizes whole lines in encode's exact form by deleting
+their digits and shares one int per distinct id: decode feeds its chunks
+into one edge list for the constructor's check (any other body is read
+line by line, lazily, so errors carry its line numbers), and
+file_linear_witness feeds a file's chunks, read with the newline
+translation of Path.read_text, straight into the linearity checker,
+raising on anything decode should read instead.  Linearity (every vertex
+pair in at most one edge) is checked in O(m) by one owner-list walk over
+edges in canonical order: a pair is owned by its smaller vertex, whose
+list is complete, checked and freed when that vertex's run of edges ends.
+is_linear, linear_witness and file_linear_witness all run it.
+Hypergraphs are one tuple per edge with no reference cycles, so the CLI
+runs each command with the cyclic garbage collector paused and reference
+counting frees them.  Densities are exact rationals.
 Provenance is plain integers: each vertex's origin and its point (x, y)
 as residues in [0, p).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, islice
@@ -50,15 +58,18 @@ __all__ = [
     "degrees",
     "min_degree",
     "encode",
+    "encode_head",
+    "write_edges",
     "decode",
     "decode_with_provenance",
+    "file_linear_witness",
 ]
 
 ORIGINS = ("V1", "V2", "S-of-V1", "S-of-V2")
 
-# The codec works on the edge body a chunk at a time: decode splits about
-# this many characters of whole lines at once, encode joins this many edge
-# lines at once.
+# The codec works on the edge body a chunk at a time: decode and the file
+# stream parse about this many characters of whole lines at once, encode
+# formats and linear checks of a Hypergraph3 take this many edges at once.
 _CHUNK_CHARS = 1 << 16
 _CHUNK_EDGES = 1 << 12
 
@@ -130,29 +141,93 @@ class Hypergraph3(Record):
         return len(self.edges)
 
 
+def _edge_chunks(edges):
+    """The edges as column chunks (firsts, seconds, thirds), _CHUNK_EDGES
+    edges at a time."""
+    for i in range(0, len(edges), _CHUNK_EDGES):
+        yield tuple(zip(*edges[i:i + _CHUNK_EDGES]))
+
+
+def _owner_lists(chunks, indexed: bool):
+    """Each vertex x that shares an edge with some y > x, as (x, partners),
+    from edges read in canonical order as column chunks.
+
+    The pair {x, y} with x < y is owned by x: edge (a, b, c) gives a the
+    partners b and c and gives b the partner c, so a pair repeats exactly
+    when some owner lists a partner twice.  The edges owning pairs by
+    their first vertex a come in one run, and every edge giving b a
+    partner comes before b's run, so a list is yielded, and freed, when
+    its owner's run ends; only the partners given to b wait in per-vertex
+    lists.  With indexed, each partner is followed by the code 3i + r of
+    the pair: i the index of its edge and r its rank there, 0 for (a, b),
+    1 for (a, c) and 2 for (b, c).
+    """
+    waiting = defaultdict(list)
+    owner = None
+    listed = []
+    start = 0
+    for firsts, seconds, thirds in chunks:
+        k = len(firsts)
+        codes = range(3 * start, 3 * (start + k), 3)
+        if indexed:
+            for b, c, code in zip(seconds, thirds, codes):
+                waiting[b] += c, code + 2
+        else:
+            for b, c in zip(seconds, thirds):
+                waiting[b].append(c)
+        i = 0
+        while i < k:
+            x = firsts[i]
+            j = bisect_right(firsts, x, i)
+            if x != owner:
+                if listed:
+                    yield owner, listed
+                owner, listed = x, waiting.pop(x, [])
+            if indexed:
+                listed += chain.from_iterable(zip(seconds[i:j], codes[i:j], thirds[i:j],
+                                                  range(codes[i] + 1, codes[j - 1] + 2, 3)))
+            else:
+                listed += seconds[i:j]
+                listed += thirds[i:j]
+            i = j
+        start += k
+    if listed:
+        yield owner, listed
+    yield from waiting.items()
+
+
+def _first_repeat(chunks) -> tuple[tuple[int, int], int, int] | None:
+    """linear_witness of the edges read from column chunks."""
+    best = None  # (code of the repeat, owner, partner, code of the first holder)
+    for x, listed in _owner_lists(chunks, True):
+        partners = listed[0::2]
+        if len(set(partners)) == len(partners):
+            continue
+        first = {}
+        for code, y in sorted(zip(listed[1::2], partners)):
+            if y in first:  # the owner's earliest repeat
+                if best is None or code < best[0]:
+                    best = code, x, y, first[y]
+                break
+            first[y] = code
+    if best is None:
+        return None
+    code, x, y, first_code = best
+    return (x, y), first_code // 3, code // 3
+
+
 def is_linear(h: Hypergraph3) -> bool:
     """True when every vertex pair lies in at most one edge (O(m))."""
-    # The pair {x, y} with x < y is listed under its owner x: edge (a, b, c)
-    # lists b and c under a and c under b.  A pair repeats exactly when some
-    # owner lists a partner twice.
-    partners = defaultdict(list)
-    for a, b, c in h.edges:
-        partners[a] += b, c
-        partners[b].append(c)
-    return all(len(set(listed)) == len(listed) for listed in partners.values())
+    return all(len(set(listed)) == len(listed)
+               for _, listed in _owner_lists(_edge_chunks(h.edges), False))
 
 
 def linear_witness(h: Hypergraph3) -> tuple[tuple[int, int], int, int] | None:
     """The first repeated vertex pair in edge-index order, with the indices
     of the earlier edge holding it and the edge that repeats it; None when
-    h is linear."""
-    seen = {}
-    for idx, (a, b, c) in enumerate(h.edges):
-        for pair in ((a, b), (a, c), (b, c)):
-            if pair in seen:
-                return pair, seen[pair], idx
-            seen[pair] = idx
-    return None
+    h is linear.  Within one edge (a, b, c) the pairs count in the order
+    (a, b), (a, c), (b, c)."""
+    return _first_repeat(_edge_chunks(h.edges))
 
 
 def density(h: Hypergraph3) -> Fraction:
@@ -213,40 +288,93 @@ class VertexMap(Record):
         return self.entries[i]
 
 
-def encode(h: Hypergraph3, vertex_map: VertexMap | None = None) -> str:
-    """Serialize to the text format; bit-stable for equal inputs.
-
-    With a vertex map, provenance comments (`# modulus p`, then one
-    `# vertex id origin x y` per vertex) precede the header.  Edge lines
-    take each id's text from a table with at most 3m entries: a list over
-    0..(largest id on an edge) when that id is below 3m, as in builder
-    output, else a dict over the covered ids.  Isolated vertices cost
-    nothing however large n is.  Edge lines are joined _CHUNK_EDGES at a
-    time, so the only strings as long as the body are the chunks and the
-    result.
-    """
+def encode_head(n: int, m: int, vertex_map: VertexMap | None = None) -> str:
+    """The text before the edge lines: with a vertex map, the provenance
+    comments (`# modulus p`, then one `# vertex id origin x y` per vertex),
+    then the `n m` header, each ending in a newline."""
     lines = []
     if vertex_map is not None:
-        if len(vertex_map) != h.n:
+        if len(vertex_map) != n:
             raise ValueError(
-                f"vertex map covers {len(vertex_map)} vertices, hypergraph has {h.n}"
+                f"vertex map covers {len(vertex_map)} vertices, hypergraph has {n}"
             )
         lines.append(f"# modulus {vertex_map.modulus}")
         for i, info in enumerate(vertex_map.entries):
             lines.append(f"# vertex {i} {info.origin} {info.x} {info.y}")
-    lines.append(f"{h.n} {len(h.edges)}")
+    lines.append(f"{n} {m}")
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _edge_text(name, edges) -> str:
+    """The lines `a b c` of an iterable of edges, each id's text taken from
+    the table name."""
+    return "".join([f"{name[a]} {name[b]} {name[c]}\n" for a, b, c in edges])
+
+
+def encode(h: Hypergraph3, vertex_map: VertexMap | None = None) -> str:
+    """Serialize to the text format; bit-stable for equal inputs.
+
+    With a vertex map, provenance comments precede the header (see
+    encode_head).  Edge lines take each id's text from a table with at
+    most 3m entries: a list over 0..(largest id on an edge) when that id is
+    below 3m, as in builder output, else a dict over the covered ids.
+    Isolated vertices cost nothing however large n is.  Edge lines are
+    formatted _CHUNK_EDGES at a time, so the only strings as long as the
+    body are the chunks and the result.
+    """
     edges = h.edges
     top = max(map(itemgetter(2), edges), default=-1)
     if top < 3 * len(edges):
         name = list(map(str, range(top + 1)))
     else:
         name = {v: str(v) for v in set(chain.from_iterable(edges))}
-    chunks = ["\n".join(lines)]
+    chunks = [encode_head(h.n, len(edges), vertex_map)]
     for i in range(0, len(edges), _CHUNK_EDGES):
-        chunk = edges[i:i + _CHUNK_EDGES]
-        chunks.append("\n".join([f"{name[a]} {name[b]} {name[c]}" for a, b, c in chunk]))
-    chunks.append("")  # the final newline, without a second copy of the text
-    return "\n".join(chunks)
+        chunks.append(_edge_text(name, edges[i:i + _CHUNK_EDGES]))
+    return "".join(chunks)
+
+
+def _canonical_chunk(firsts, seconds, thirds, prev, n: int) -> bool:
+    """Whether the edges (firsts[i], seconds[i], thirds[i]) are as the
+    constructor requires: ids in [0, n), each edge strictly ascending and
+    above its predecessor, the first one above prev (None at the start).
+    Every test runs over whole columns in C."""
+    if not firsts:
+        return True
+    nxt = islice(firsts, 1, None), islice(seconds, 1, None), islice(thirds, 1, None)
+    return (
+        min(firsts) >= 0
+        and max(thirds) < n
+        and all(map(lt, firsts, seconds))
+        and all(map(lt, seconds, thirds))
+        and (prev is None or prev < (firsts[0], seconds[0], thirds[0]))
+        and all(map(lt, zip(firsts, seconds, thirds), zip(*nxt)))
+    )
+
+
+def write_edges(f, n: int, chunks) -> int:
+    """Write the edge lines of column chunks (firsts, seconds, thirds) to
+    the text file f, one chunk at a time, and return how many there were.
+
+    Each chunk is checked as the constructor checks a hypergraph on n
+    vertices, and a chunk out of canonical form raises the constructor's
+    ValueError naming the first offending edge.  Ids take their text from
+    a table over 0..n-1.
+    """
+    name = list(map(str, range(n)))
+    prev = None
+    m = 0
+    for firsts, seconds, thirds in chunks:
+        if not firsts:
+            continue
+        if not _canonical_chunk(firsts, seconds, thirds, prev, n):
+            # the constructor raises, naming the first offending edge
+            Hypergraph3(n, [*([prev] if prev else ()), *zip(firsts, seconds, thirds)])
+        f.write(_edge_text(name, zip(firsts, seconds, thirds)))
+        prev = firsts[-1], seconds[-1], thirds[-1]
+        m += len(firsts)
+    return m
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
@@ -254,6 +382,18 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
         return int(token)
     except ValueError:
         raise FormatError(f"{what} {token!r} is not an integer", lineno) from None
+
+
+def _header(line: str, lineno: int) -> tuple[int, int]:
+    """The counts (n, m) of the header line."""
+    tokens = line.split()
+    if len(tokens) != 2:
+        raise FormatError(f"malformed header {line!r}", lineno)
+    n = _parse_int(tokens[0], "vertex count", lineno)
+    m = _parse_int(tokens[1], "edge count", lineno)
+    if n < 0 or m < 0:
+        raise FormatError("header counts must be non-negative", lineno)
+    return n, m
 
 
 def decode(text: str) -> Hypergraph3:
@@ -292,42 +432,118 @@ def _encode_form(body: str, m: int) -> bool:
     )
 
 
+def _chunk_ids(chunk: str, value: dict[str, int]) -> list[int]:
+    """The vertex ids of chunk, whole lines in encode's form, in order;
+    raises ValueError for any other chunk.  value maps each id's text to
+    its int across chunks, so each distinct id is parsed once and its int
+    shared."""
+    if not _encode_form(chunk, chunk.count("\n")):
+        raise ValueError("edge lines not in encode's form")
+    tokens = chunk.split()
+    new = set(tokens).difference(value)
+    value.update(zip(new, map(int, new)))  # int() refuses ids past Python's digit limit
+    return list(map(value.__getitem__, tokens))
+
+
+def _text_chunks(text: str, pos: int):
+    """text from offset pos on, about _CHUNK_CHARS characters of whole
+    lines at a time."""
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK_CHARS) + 1 or len(text)
+        yield text[pos:end]
+        pos = end
+
+
 def _canonical_body(text: str, start: int, n: int, m: int) -> Hypergraph3 | None:
     """The hypergraph of an edge body (text from offset start on) of m lines
-    in encode's form that passes the constructor's checks, parsed in bulk
-    _CHUNK_CHARS of whole lines at a time; None for any other body, which
-    the line loop then parses or locates."""
-    body = text[start:]
-    if not _encode_form(body, m):
-        return None
-    value: dict[str, int] = {}  # each distinct id parsed once, its int shared
+    in encode's form that passes the constructor's checks, parsed a chunk
+    of whole lines at a time; None for any other body, which the line loop
+    then parses or locates."""
+    value: dict[str, int] = {}
     edges: list[tuple[int, int, int]] = []
-    pos = 0
-    try:  # int() refuses ids longer than Python's digit limit
-        while pos < len(body):
-            end = body.find("\n", pos + _CHUNK_CHARS) + 1 or len(body)
-            tokens = body[pos:end].split()
-            new = set(tokens).difference(value)
-            value.update(zip(new, map(int, new)))
-            ids = map(value.__getitem__, tokens)
+    try:
+        for chunk in _text_chunks(text, start):
+            ids = iter(_chunk_ids(chunk, value))
             edges += zip(ids, ids, ids)
-            pos = end
+        if len(edges) != m:
+            return None
         return Hypergraph3(n, edges)
     except ValueError:
         return None
 
 
-def _edge_lines(raw: list[str], idx: int, n: int, m: int) -> tuple[tuple[int, int, int], ...]:
-    """The m edges on the lines from idx on, checked line by line; raises
-    FormatError with the number of the first offending line."""
+def _file_chunks(path):
+    """The edges of the .hg3 file at path as column chunks, read and
+    checked a chunk of whole lines at a time, with the newline translation
+    of Path.read_text.
+
+    The comments are skipped and the header parsed as decode does; the
+    edge body must be in encode's form and pass the constructor's checks
+    (see _canonical_chunk), across chunk boundaries too.  Anything else
+    raises OSError or ValueError (UnicodeDecodeError and FormatError among
+    them), as soon as it is read.
+    """
+    with open(path, encoding="utf-8") as f:
+        line = f.readline()
+        lineno = 1
+        while line.startswith("#"):
+            line = f.readline()
+            lineno += 1
+        if not line.endswith("\n"):
+            raise FormatError("missing header or trailing newline", lineno)
+        n, m = _header(line, lineno)
+        value: dict[str, int] = {}
+        prev = None
+        count = 0
+        while chunk := f.read(_CHUNK_CHARS):
+            ids = _chunk_ids(chunk + f.readline(), value)
+            firsts, seconds, thirds = ids[0::3], ids[1::3], ids[2::3]
+            if not _canonical_chunk(firsts, seconds, thirds, prev, n):
+                raise ValueError("edges out of canonical form")
+            count += len(firsts)
+            if count > m:
+                raise ValueError(f"more than {m} edges")
+            prev = firsts[-1], seconds[-1], thirds[-1]
+            yield firsts, seconds, thirds
+        if count != m:
+            raise ValueError(f"expected {m} edges, found {count}")
+
+
+def file_linear_witness(path) -> tuple[tuple[int, int], int, int] | None:
+    """linear_witness of the hypergraph in the .hg3 file at path, which is
+    read a chunk at a time and never held whole (see _file_chunks): once to
+    check linearity and, only if that fails, once more for the witness.
+    Raises OSError or ValueError for a file that decode should read
+    instead: one that cannot be read, or whose edge body is not exactly
+    encode's."""
+    if all(len(set(listed)) == len(listed)
+           for _, listed in _owner_lists(_file_chunks(path), False)):
+        return None
+    return _first_repeat(_file_chunks(path))
+
+
+def _lines(text: str, pos: int):
+    """The lines of text from offset pos on, without their newlines; text
+    ends in a newline."""
+    while pos < len(text):
+        end = text.index("\n", pos)
+        yield text[pos:end]
+        pos = end + 1
+
+
+def _edge_lines(
+    text: str, pos: int, lineno: int, n: int, m: int
+) -> tuple[tuple[int, int, int], ...]:
+    """The m edges on the lines of text from offset pos on, the first of
+    them line lineno, checked line by line; raises FormatError with the
+    number of the first offending line."""
     edges: list[tuple[int, int, int]] = []
     prev: tuple[int, int, int] | None = None
+    lines = _lines(text, pos)
     for k in range(m):
-        if idx >= len(raw):
-            raise FormatError(f"expected {m} edges, found {k}", len(raw) + 1)
-        lineno = idx + 1
-        line = raw[idx]
-        idx += 1
+        line = next(lines, None)
+        if line is None:
+            raise FormatError(f"expected {m} edges, found {k}", lineno)
         if line.startswith("#"):
             raise FormatError("comments are only allowed before the header", lineno)
         tokens = line.split()
@@ -347,9 +563,9 @@ def _edge_lines(raw: list[str], idx: int, n: int, m: int) -> tuple[tuple[int, in
             raise FormatError(f"edge {line!r} out of lexicographic order", lineno)
         edges.append(e)
         prev = e
-    if idx != len(raw):
-        raise FormatError("unexpected content after the edge list", idx + 1)
-
+        lineno += 1
+    if next(lines, None) is not None:
+        raise FormatError("unexpected content after the edge list", lineno)
     return tuple(edges)
 
 
@@ -391,14 +607,7 @@ def _parse(text: str, want_provenance: bool) -> tuple[Hypergraph3, VertexMap | N
                     y = _parse_int(tokens[5], "y coordinate", lineno)
                     vertex_lines.append((lineno, vid, tokens[3], x, y))
             continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise FormatError(f"malformed header {line!r}", lineno)
-        n = _parse_int(tokens[0], "vertex count", lineno)
-        m = _parse_int(tokens[1], "edge count", lineno)
-        if n < 0 or m < 0:
-            raise FormatError("header counts must be non-negative", lineno)
-        header = (n, m)
+        header = _header(line, lineno)
         break
     if header is None:
         raise FormatError("missing header", lineno if lineno else 1)
@@ -406,7 +615,7 @@ def _parse(text: str, want_provenance: bool) -> tuple[Hypergraph3, VertexMap | N
     n, m = header
     h = _canonical_body(text, body, n, m)
     if h is None:
-        h = Hypergraph3(n, _edge_lines(text.split("\n")[:-1], idx, n, m))
+        h = Hypergraph3(n, _edge_lines(text, body, idx + 1, n, m))
     if not want_provenance or not vertex_lines:
         return h, None
 

@@ -332,15 +332,18 @@ def test_main_restores_the_collector_state(tmp_path, monkeypatch, capsys, collec
         "internal": ["construct", "base", "--p", "5"],
     }[case]
     during = []
-    real_build_base = cli.build_base
 
-    def build_base(p):
-        during.append(gc.isenabled())
-        if case == "internal":
-            raise ValueError("internal fault")
-        return real_build_base(p)
+    def watched(build):
+        # construct builds through build_base, or with --out through construction
+        def call(*args):
+            during.append(gc.isenabled())
+            if case == "internal":
+                raise ValueError("internal fault")
+            return build(*args)
+        return call
 
-    monkeypatch.setattr(cli, "build_base", build_base)
+    monkeypatch.setattr(cli, "build_base", watched(cli.build_base))
+    monkeypatch.setattr(cli, "construction", watched(cli.construction))
     if case == "internal":
         with pytest.raises(ValueError, match="internal fault"):
             cli.main(argv)

@@ -114,6 +114,42 @@ def test_linear_witness_names_the_first_repeat():
     assert linear_witness(Hypergraph3(3, ((0, 1, 2),))) is None
 
 
+def _witness_json(h):
+    found = linear_witness(h)
+    return None if found is None else {"pair": list(found[0]), "edges": list(found[1:])}
+
+
+@pytest.mark.parametrize("edges_per_chunk", [1, 2, 3, 7, 4096])
+def test_linearity_checks_do_not_depend_on_chunk_sizes(monkeypatch, edges_per_chunk):
+    # owners' runs and their waiting partner lists cross chunk boundaries
+    monkeypatch.setattr(hypergraph, "_CHUNK_EDGES", edges_per_chunk)
+    violations = 0
+    for i in range(120):
+        rng = random.Random(1000 + i)
+        n = rng.randint(5, 14)
+        h = oracles.random_hypergraph(rng, n, rng.randint(1, 3 * n))
+        expected = oracles.linear_witness_by_loop(h)
+        violations += expected is not None
+        assert is_linear(h) == (expected is None), i
+        assert _witness_json(h) == expected, i
+    assert 40 <= violations <= 110
+    for case in CROSS_ROLE_REPEATS:
+        h = Hypergraph3.from_edges(11, case + ((6, 7, 8), (6, 9, 10)))
+        assert _witness_json(h) == oracles.linear_witness_by_loop(h)
+
+
+def test_linear_witness_memory_with_a_repeat_past_the_first_chunk(base1009):
+    h, _, _ = base1009
+    a, b, c = h.edges[3 * h.m // 4]
+    bad = Hypergraph3.from_edges(h.n + 1, h.edges + ((a, c, h.n),))
+    found, peak = _traced_peak(linear_witness, bad)
+    assert {"pair": list(found[0]), "edges": list(found[1:])} == \
+        oracles.linear_witness_by_loop(bad)
+    assert found[1] > hypergraph._CHUNK_EDGES
+    # 6.5 MiB traced with owner lists; 55.6 MiB with a dict of pair tuples
+    assert peak <= 12 << 20, peak
+
+
 def test_density_and_degrees():
     h = Hypergraph3.from_edges(5, [(0, 1, 2), (0, 3, 4)])
     assert density(h) == Fraction(2, 25)
@@ -237,6 +273,16 @@ def test_codec_and_linearity_memory_at_p_1009(base1009):
     linear, peak = _traced_peak(is_linear, h)
     assert linear
     assert peak <= 16 << 20, peak
+
+
+def test_line_loop_memory_at_p_1009(base1009):
+    # CRLF line ends are outside encode's form, so the line loop reads them;
+    # it walks the lines without splitting the whole text first
+    h, _, _ = base1009
+    text = encode(h).replace("\n", "\r\n")
+    decoded, peak = _traced_peak(decode, text)  # the result counts too
+    assert decoded == h
+    assert peak <= 44 << 20, peak  # 36.5 MiB; 53.3 MiB splitting the text
 
 
 @pytest.mark.parametrize("p", ENCODE_PRIMES)
