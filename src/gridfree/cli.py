@@ -7,13 +7,13 @@ timing goes to stderr, never into the reports.  Exit codes: 0 success,
 1 a contracted identity or requested check failed, 2 usage or parse error.
 Each command runs with the cyclic garbage collector paused.
 
-Two commands stream instead of holding a hypergraph.  `construct --out`
-writes the construction's edge chunks to a temporary file as the sweep
-yields them and copies them behind the header once the report has
-validated their count.  `verify --checks linear` reads the file a chunk of
-whole lines at a time (twice when it must name a witness); a file the
-stream does not accept is read whole instead, so its errors are reported
-exactly as before.
+`construct` and `verify --checks linear` never hold a hypergraph.
+`construct` counts the construction's edge chunks as the sweep yields
+them; with `--out` it writes them to a temporary file and copies them
+behind the header once the report has validated their count.  `verify
+--checks linear` reads the file with the codec's one reader, a chunk of
+whole lines at a time (twice when it must name a witness), and reports
+every file, irregular or unreadable, as decode on its whole text would.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ from pathlib import Path
 
 from . import __version__
 from .charsum import delta_sum_check, gauss_sum_check, reciprocity_check, secant_census
-from .construct import build_base, build_qr, build_random, construction
+from .construct import construction
 from .detect import find_grid, find_prism, find_small_two_core
 from .ffield import InvalidPrimeError, check_prime, is_prime
 from .geometry import pascal_collinear
 from .hypergraph import (
     FormatError,
+    count_edges,
     decode,
     encode_head,
     file_linear_witness,
@@ -126,18 +127,12 @@ def _int_between(minimum: int, maximum: int | None = None):
 _seed = _int_between(0, MASK64)
 
 
-def _read_hypergraph(path: str):
-    """The decoded .hg3 file at path, or None after reporting on stderr why
-    it cannot be read."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot read {path}: {exc.strerror}", file=sys.stderr)
-        return None
-    except UnicodeDecodeError:
-        print(f"cannot read {path}: not UTF-8 text", file=sys.stderr)
-        return None
-    return decode(text)
+def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> int:
+    """Report on stderr why the file at path cannot be read; the usage
+    exit code."""
+    why = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror
+    print(f"cannot read {path}: {why}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _write_replacing(path: Path, pieces) -> None:
@@ -209,14 +204,14 @@ def cmd_construct(args) -> int:
     params = (args.p,)
     if args.kind == "random":
         params += (args.rho.numerator, args.rho.denominator, args.seed)
+    vmap, chunks, report = construction(args.kind, *params)
     if args.out is None:
-        build = {"base": build_base, "qr": build_qr, "random": build_random}[args.kind]
-        _, _, report = build(*params)
+        report = report(count_edges(len(vmap), chunks))
     else:
         out_path = Path(args.out)
         report_path = out_path.with_suffix(".report.json")
         try:
-            report = _write_instance(out_path, *construction(args.kind, *params))
+            report = _write_instance(out_path, vmap, chunks, report)
         except OSError as exc:
             print(f"cannot write {out_path}: {exc.strerror}", file=sys.stderr)
             return EXIT_USAGE
@@ -247,49 +242,41 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    streamed = None  # (linear witness,) of a file read as a stream
-    if args.checks == "linear":
-        try:
-            streamed = (file_linear_witness(args.infile),)
-        except (OSError, ValueError):
-            pass  # read whole below, so its errors are reported as decode reports them
-    if streamed is None:
-        h = _read_hypergraph(args.infile)
-        if h is None:
-            return EXIT_USAGE
     requested = args.checks.split(",") if args.checks else list(CHECK_NAMES)
     for name in requested:
         if name not in CHECK_NAMES:
             print(f"unknown check {name!r}; pick from {', '.join(CHECK_NAMES)}", file=sys.stderr)
             return EXIT_USAGE
+    h = None  # for linearity alone the file streams and only its repeat is kept
+    try:
+        if requested == ["linear"]:
+            repeat = file_linear_witness(args.infile)
+        else:
+            h = decode(Path(args.infile).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        return _cannot_read(args.infile, exc)
     manifest = _manifest(
         command="verify",
         parameters={"checks": requested},
         inputs=[args.infile],
     )
     for name in requested:
-        witness = None
         if name == "linear":
-            if streamed is not None:
-                found = streamed[0]
-            else:
-                found = None if is_linear(h) else linear_witness(h)
-            if found is not None:
-                pair, first, second = found
-                witness = {"pair": list(pair), "edges": [first, second]}
+            if h is not None:
+                repeat = None if is_linear(h) else linear_witness(h)
+            found = repeat
         elif name == "gridfree":
             found = find_grid(h)
-            if found is not None:
-                witness = found.to_json_dict()
         elif name == "prismfree":
             found = find_prism(h)
-            if found is not None:
-                witness = found.to_json_dict()
-        elif name == "corefree9":
+        else:
             found = find_small_two_core(h, 9)
-            if found is not None:
+        if found is not None:
+            if name == "linear":
+                pair, first, second = found
+                witness = {"pair": list(pair), "edges": [first, second]}
+            else:
                 witness = found.to_json_dict()
-        if witness is not None:
             _print_json(
                 {"manifest": manifest, "ok": False, "failed": name, "witness": witness},
                 args.pretty,
@@ -421,9 +408,10 @@ def cmd_pascal(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    h = _read_hypergraph(args.infile)
-    if h is None:
-        return EXIT_USAGE
+    try:
+        h = decode(Path(args.infile).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        return _cannot_read(args.infile, exc)
     if args.find == "grid":
         witness = find_grid(h)
     elif args.find == "prism":

@@ -21,12 +21,12 @@ discriminant, the offsets that put its candidate third points at a + o
 (_Sweep) yields the edges a row of plain int columns at a time, in
 canonical order for base and random; qr regroups its rows in per-S
 buckets of ints.  construction() hands those column chunks out as a
-stream, which `construct --out` writes straight to its file, and the
-build_* functions collect them into a Hypergraph3.  Each vertex's
-provenance is its origin and its point (x, x^2 + t) as plain residues
-mod p.  The geometry module recomputes the same incidences one secant at
-a time, tests/oracles.py keeps the pair-by-pair loops, and the tests
-cross-check all three routes.
+stream, which the `construct` command counts, or with `--out` writes
+straight to its file, and the build_* functions collect into a
+Hypergraph3.  Each vertex's provenance is its origin and its point
+(x, x^2 + t) as plain residues mod p.  The geometry module recomputes
+the same incidences one secant at a time, tests/oracles.py keeps the
+pair-by-pair loops, and the tests cross-check all three routes.
 """
 
 from __future__ import annotations

@@ -16,18 +16,17 @@ travel as column chunks (firsts, seconds, thirds), checked chunk by chunk
 against the same rules by _canonical_chunk.  One formatter writes edge
 lines from a table of id strings, so each id is converted once: encode
 runs it over a hypergraph's edges a chunk at a time, and write_edges over
-a construction's column chunks into a file, without any Hypergraph3.  One
-chunk parser recognizes whole lines in encode's exact form by deleting
-their digits and shares one int per distinct id: decode feeds its chunks
-into one edge list for the constructor's check (any other body is read
-line by line, lazily, so errors carry its line numbers), and
-file_linear_witness feeds a file's chunks, read with the newline
-translation of Path.read_text, straight into the linearity checker,
-raising on anything decode should read instead.  Linearity (every vertex
-pair in at most one edge) is checked in O(m) by one owner-list walk over
-edges in canonical order: a pair is owned by its smaller vertex, whose
-list is complete, checked and freed when that vertex's run of edges ends.
-is_linear, linear_witness and file_linear_witness all run it.
+a construction's column chunks into a file, without any Hypergraph3.
+One reader, _read, takes decode's text, or a file for file_linear_witness,
+a chunk of whole lines at a time.  A body chunk in encode's exact form is
+parsed by deleting its digits, with one int shared per distinct id; only
+a chunk that this or the canonical check refuses goes to the line
+checker, which reads lenient lines and names the first offending one.
+Linearity (every vertex pair in at most one edge) is checked in O(m) by
+one owner-list walk over edges in canonical order: a pair is owned by its
+smaller vertex, whose list is complete, checked and freed when that
+vertex's run of edges ends.  is_linear, linear_witness and
+file_linear_witness all run it.
 Hypergraphs are one tuple per edge with no reference cycles, so the CLI
 runs each command with the cyclic garbage collector paused and reference
 counting frees them.  Densities are exact rationals.
@@ -60,6 +59,7 @@ __all__ = [
     "encode",
     "encode_head",
     "write_edges",
+    "count_edges",
     "decode",
     "decode_with_provenance",
     "file_linear_witness",
@@ -352,36 +352,53 @@ def _canonical_chunk(firsts, seconds, thirds, prev, n: int) -> bool:
         and all(map(lt, zip(firsts, seconds, thirds), zip(*nxt)))
     )
 
-
-def write_edges(f, n: int, chunks) -> int:
-    """Write the edge lines of column chunks (firsts, seconds, thirds) to
-    the text file f, one chunk at a time, and return how many there were.
-
-    Each chunk is checked as the constructor checks a hypergraph on n
-    vertices, and a chunk out of canonical form raises the constructor's
-    ValueError naming the first offending edge.  Ids take their text from
-    a table over 0..n-1.
-    """
-    name = list(map(str, range(n)))
+def _checked_chunks(n: int, chunks):
+    """The non-empty column chunks (firsts, seconds, thirds) of chunks,
+    each checked as the constructor checks a hypergraph on n vertices; a
+    chunk out of canonical form raises the constructor's ValueError naming
+    the first offending edge."""
     prev = None
-    m = 0
     for firsts, seconds, thirds in chunks:
         if not firsts:
             continue
         if not _canonical_chunk(firsts, seconds, thirds, prev, n):
             # the constructor raises, naming the first offending edge
             Hypergraph3(n, [*([prev] if prev else ()), *zip(firsts, seconds, thirds)])
-        f.write(_edge_text(name, zip(firsts, seconds, thirds)))
+        yield firsts, seconds, thirds
         prev = firsts[-1], seconds[-1], thirds[-1]
+
+
+def write_edges(f, n: int, chunks) -> int:
+    """Write the edge lines of column chunks (firsts, seconds, thirds) to
+    the text file f, one chunk at a time, and return how many there were.
+
+    Each chunk is checked as the constructor checks a hypergraph on n
+    vertices (see _checked_chunks).  Ids take their text from a table over
+    0..n-1.
+    """
+    name = list(map(str, range(n)))
+    m = 0
+    for firsts, seconds, thirds in _checked_chunks(n, chunks):
+        f.write(_edge_text(name, zip(firsts, seconds, thirds)))
         m += len(firsts)
     return m
 
 
+def count_edges(n: int, chunks) -> int:
+    """How many edges the column chunks hold, each chunk checked as
+    write_edges checks it, without formatting any text."""
+    return sum(len(firsts) for firsts, _, _ in _checked_chunks(n, chunks))
+
+
 def _parse_int(token: str, what: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"{what} {token!r} is not an integer", lineno) from None
+    """The int of token, an optional sign followed by ASCII digits."""
+    digits = token[1:] if token[0] in "+-" else token
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() accepts
+            pass
+    raise FormatError(f"{what} {token!r} is not an integer", lineno)
 
 
 def _header(line: str, lineno: int) -> tuple[int, int]:
@@ -398,14 +415,15 @@ def _header(line: str, lineno: int) -> tuple[int, int]:
 
 def decode(text: str) -> Hypergraph3:
     """Parse the text format; raises FormatError with a line number."""
-    h, _ = _parse(text, want_provenance=False)
-    return h
+    return _decode(text, None)
 
 
 def decode_with_provenance(text: str) -> tuple[Hypergraph3, VertexMap | None]:
     """Like decode, but also reconstruct the vertex map from the comments
     when present (requires a `# modulus p` comment before the vertex lines)."""
-    return _parse(text, want_provenance=True)
+    notes: dict = {}
+    h = _decode(text, notes)
+    return h, _vertex_map(h.n, notes)
 
 
 # The str.translate table that deletes the ASCII digits.
@@ -432,118 +450,52 @@ def _encode_form(body: str, m: int) -> bool:
     )
 
 
-def _chunk_ids(chunk: str, value: dict[str, int]) -> list[int]:
+def _chunk_ids(chunk: str, value: dict[str, int]) -> list[int] | None:
     """The vertex ids of chunk, whole lines in encode's form, in order;
-    raises ValueError for any other chunk.  value maps each id's text to
-    its int across chunks, so each distinct id is parsed once and its int
-    shared."""
+    None for any other chunk.  value maps each id's text to its int across
+    chunks, so each distinct id is parsed once and its int shared."""
     if not _encode_form(chunk, chunk.count("\n")):
-        raise ValueError("edge lines not in encode's form")
+        return None
     tokens = chunk.split()
     new = set(tokens).difference(value)
-    value.update(zip(new, map(int, new)))  # int() refuses ids past Python's digit limit
+    try:
+        value.update(zip(new, map(int, new)))
+    except ValueError:  # more digits than int() accepts
+        return None
     return list(map(value.__getitem__, tokens))
 
 
-def _text_chunks(text: str, pos: int):
-    """text from offset pos on, about _CHUNK_CHARS characters of whole
-    lines at a time."""
-    while pos < len(text):
-        end = text.find("\n", pos + _CHUNK_CHARS) + 1 or len(text)
-        yield text[pos:end]
-        pos = end
+def _note(line: str, lineno: int, notes: dict) -> None:
+    """Record the comment line in notes: `# modulus p` as notes["modulus"]
+    = (lineno, p), the last one kept, and each `# vertex id origin x y` as
+    (lineno, id, origin, x, y) in the list notes["vertex"]; other comments
+    are free-form."""
+    tokens = line.split()
+    kind = tokens[1] if len(tokens) >= 2 else None
+    if kind == "modulus":
+        if len(tokens) != 3:
+            raise FormatError("malformed modulus comment", lineno)
+        notes[kind] = lineno, _parse_int(tokens[2], "modulus", lineno)
+    elif kind == "vertex":
+        if len(tokens) != 6:
+            raise FormatError("malformed vertex comment", lineno)
+        vid = _parse_int(tokens[2], "vertex id", lineno)
+        x = _parse_int(tokens[4], "x coordinate", lineno)
+        y = _parse_int(tokens[5], "y coordinate", lineno)
+        notes.setdefault(kind, []).append((lineno, vid, tokens[3], x, y))
 
 
-def _canonical_body(text: str, start: int, n: int, m: int) -> Hypergraph3 | None:
-    """The hypergraph of an edge body (text from offset start on) of m lines
-    in encode's form that passes the constructor's checks, parsed a chunk
-    of whole lines at a time; None for any other body, which the line loop
-    then parses or locates."""
-    value: dict[str, int] = {}
-    edges: list[tuple[int, int, int]] = []
-    try:
-        for chunk in _text_chunks(text, start):
-            ids = iter(_chunk_ids(chunk, value))
-            edges += zip(ids, ids, ids)
-        if len(edges) != m:
-            return None
-        return Hypergraph3(n, edges)
-    except ValueError:
-        return None
-
-
-def _file_chunks(path):
-    """The edges of the .hg3 file at path as column chunks, read and
-    checked a chunk of whole lines at a time, with the newline translation
-    of Path.read_text.
-
-    The comments are skipped and the header parsed as decode does; the
-    edge body must be in encode's form and pass the constructor's checks
-    (see _canonical_chunk), across chunk boundaries too.  Anything else
-    raises OSError or ValueError (UnicodeDecodeError and FormatError among
-    them), as soon as it is read.
-    """
-    with open(path, encoding="utf-8") as f:
-        line = f.readline()
-        lineno = 1
-        while line.startswith("#"):
-            line = f.readline()
-            lineno += 1
-        if not line.endswith("\n"):
-            raise FormatError("missing header or trailing newline", lineno)
-        n, m = _header(line, lineno)
-        value: dict[str, int] = {}
-        prev = None
-        count = 0
-        while chunk := f.read(_CHUNK_CHARS):
-            ids = _chunk_ids(chunk + f.readline(), value)
-            firsts, seconds, thirds = ids[0::3], ids[1::3], ids[2::3]
-            if not _canonical_chunk(firsts, seconds, thirds, prev, n):
-                raise ValueError("edges out of canonical form")
-            count += len(firsts)
-            if count > m:
-                raise ValueError(f"more than {m} edges")
-            prev = firsts[-1], seconds[-1], thirds[-1]
-            yield firsts, seconds, thirds
-        if count != m:
-            raise ValueError(f"expected {m} edges, found {count}")
-
-
-def file_linear_witness(path) -> tuple[tuple[int, int], int, int] | None:
-    """linear_witness of the hypergraph in the .hg3 file at path, which is
-    read a chunk at a time and never held whole (see _file_chunks): once to
-    check linearity and, only if that fails, once more for the witness.
-    Raises OSError or ValueError for a file that decode should read
-    instead: one that cannot be read, or whose edge body is not exactly
-    encode's."""
-    if all(len(set(listed)) == len(listed)
-           for _, listed in _owner_lists(_file_chunks(path), False)):
-        return None
-    return _first_repeat(_file_chunks(path))
-
-
-def _lines(text: str, pos: int):
-    """The lines of text from offset pos on, without their newlines; text
-    ends in a newline."""
-    while pos < len(text):
-        end = text.index("\n", pos)
-        yield text[pos:end]
-        pos = end + 1
-
-
-def _edge_lines(
-    text: str, pos: int, lineno: int, n: int, m: int
-) -> tuple[tuple[int, int, int], ...]:
-    """The m edges on the lines of text from offset pos on, the first of
-    them line lineno, checked line by line; raises FormatError with the
-    number of the first offending line."""
-    edges: list[tuple[int, int, int]] = []
-    prev: tuple[int, int, int] | None = None
-    lines = _lines(text, pos)
-    for k in range(m):
-        line = next(lines, None)
-        if line is None:
-            raise FormatError(f"expected {m} edges, found {k}", lineno)
+def _checked_lines(piece: str, lineno: int, prev, n: int, left: int):
+    """The edges on the lines of piece, whole lines of which the first is
+    line lineno, as column tuples (firsts, seconds, thirds), checked line
+    by line: at most left edges, each above the edge prev (None at the
+    start).  Tabs, a CR before the newline, extra spaces, signs and leading
+    zeros are read; anything else raises decode's FormatError naming the
+    first offending line."""
+    edges = []
+    for line in piece.split("\n")[:-1]:  # piece ends in a newline
+        if not left:
+            raise FormatError("unexpected content after the edge list", lineno)
         if line.startswith("#"):
             raise FormatError("comments are only allowed before the header", lineno)
         tokens = line.split()
@@ -563,64 +515,99 @@ def _edge_lines(
             raise FormatError(f"edge {line!r} out of lexicographic order", lineno)
         edges.append(e)
         prev = e
+        left -= 1
         lineno += 1
-    if next(lines, None) is not None:
-        raise FormatError("unexpected content after the edge list", lineno)
-    return tuple(edges)
+    return tuple(zip(*edges))
 
 
-def _parse(text: str, want_provenance: bool) -> tuple[Hypergraph3, VertexMap | None]:
-    if not text.endswith("\n"):
-        raise FormatError("missing trailing newline", max(1, text.count("\n") + 1))
-    # Only the comments and the header are split into lines here; the edge
-    # body after them is left to _canonical_body or _edge_lines.
-    body = 0
-    while text.startswith("#", body):
-        body = text.index("\n", body) + 1
-    if body < len(text):
-        body = text.index("\n", body) + 1
-    raw = text[:body].split("\n")[:-1]  # drop the empty piece after the final newline
+def _read(pieces, notes: dict | None = None):
+    """Read the .hg3 text that pieces yields in chunks of whole lines:
+    yield its vertex count n, then its edges as column chunks (firsts,
+    seconds, thirds), one per piece of the edge body.
 
-    lineno = 0
-    modulus: int | None = None
-    modulus_line = 0
-    vertex_lines: list[tuple[int, int, str, int, int]] = []
-    header: tuple[int, int] | None = None
-    idx = 0
-    while idx < len(raw):
-        lineno = idx + 1
-        line = raw[idx]
-        idx += 1
-        if line.startswith("#"):
-            if want_provenance:
-                tokens = line.split()
-                if len(tokens) >= 2 and tokens[1] == "modulus":
-                    if len(tokens) != 3:
-                        raise FormatError("malformed modulus comment", lineno)
-                    modulus = _parse_int(tokens[2], "modulus", lineno)
-                    modulus_line = lineno
-                elif len(tokens) >= 2 and tokens[1] == "vertex":
-                    if len(tokens) != 6:
-                        raise FormatError("malformed vertex comment", lineno)
-                    vid = _parse_int(tokens[2], "vertex id", lineno)
-                    x = _parse_int(tokens[4], "x coordinate", lineno)
-                    y = _parse_int(tokens[5], "y coordinate", lineno)
-                    vertex_lines.append((lineno, vid, tokens[3], x, y))
-            continue
-        header = _header(line, lineno)
-        break
-    if header is None:
-        raise FormatError("missing header", lineno if lineno else 1)
+    The comments (recorded in notes when it is given, see _note) and the
+    header are read line by line.  A piece of the body is parsed by
+    _chunk_ids and checked by _canonical_chunk, which needs no per-line
+    work; only a piece they refuse goes to the line checker,
+    _checked_lines.  On a fault the rest of pieces is still read, a piece
+    at a time, before the error is raised: a text without a trailing
+    newline is reported as such, and a source that fails later (a file
+    that is not UTF-8) raises its own error, as a whole-text read would.
+    """
+    pieces = iter(pieces)
+    piece, start, lineno = "", 1, 1  # the piece read last, its first line, the next line
+    n = m = None
+    count, prev, value = 0, None, {}
+    try:
+        for piece in pieces:
+            start = lineno
+            if not piece.endswith("\n"):
+                break  # only the last line can lack its newline: reported below
+            pos = 0
+            while n is None and pos < len(piece):
+                end = piece.index("\n", pos)
+                line = piece[pos:end]
+                if not line.startswith("#"):
+                    n, m = _header(line, lineno)
+                    yield n
+                elif notes is not None:
+                    _note(line, lineno, notes)
+                pos = end + 1
+                lineno += 1
+            if pos == len(piece):
+                continue
+            body = piece[pos:]
+            ids = _chunk_ids(body, value)
+            if ids is not None:
+                columns = ids[0::3], ids[1::3], ids[2::3]
+            if (ids is None or len(columns[0]) > m - count
+                    or not _canonical_chunk(*columns, prev, n)):
+                columns = _checked_lines(body, lineno, prev, n, m - count)
+            count += len(columns[0])
+            lineno += len(columns[0])
+            prev = tuple(column[-1] for column in columns)
+            yield columns
+        if n is None:
+            raise FormatError("missing header", lineno - 1)
+        if count != m:
+            raise FormatError(f"expected {m} edges, found {count}", lineno)
+        fault = None
+    except FormatError as exc:
+        fault = exc
+    for rest in pieces:
+        start += piece.count("\n")
+        piece = rest
+    if not piece.endswith("\n"):
+        raise FormatError("missing trailing newline", start + piece.count("\n"))
+    if fault is not None:
+        raise fault
 
-    n, m = header
-    h = _canonical_body(text, body, n, m)
-    if h is None:
-        h = Hypergraph3(n, _edge_lines(text, body, idx + 1, n, m))
-    if not want_provenance or not vertex_lines:
-        return h, None
 
-    if modulus is None:
+def _text_chunks(text: str):
+    """text about _CHUNK_CHARS characters of whole lines at a time."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK_CHARS) + 1 or len(text)
+        yield text[pos:end]
+        pos = end
+
+
+def _decode(text: str, notes: dict | None) -> Hypergraph3:
+    """The hypergraph of text, read a piece at a time (see _read)."""
+    reader = _read(_text_chunks(text), notes)
+    n = next(reader)
+    return Hypergraph3(n, list(chain.from_iterable(zip(*columns) for columns in reader)))
+
+
+def _vertex_map(n: int, notes: dict) -> VertexMap | None:
+    """The vertex map of the provenance comments recorded in notes (see
+    _note), checked against the n vertices; None without vertex comments."""
+    vertex_lines = notes.get("vertex")
+    if not vertex_lines:
+        return None
+    if "modulus" not in notes:
         raise FormatError("vertex comments without a modulus comment", vertex_lines[0][0])
+    modulus_line, modulus = notes["modulus"]
     if modulus % 2 == 0 or not is_prime(modulus):
         raise FormatError(f"modulus {modulus} is not an odd prime", modulus_line)
     by_id: dict[int, VertexInfo] = {}
@@ -640,4 +627,27 @@ def _parse(text: str, want_provenance: bool) -> tuple[Hypergraph3, VertexMap | N
         by_id[vid] = VertexInfo(origin, x, y)
     if len(by_id) != n:
         raise FormatError(f"vertex comments cover {len(by_id)} of {n} vertices", 1)
-    return h, VertexMap(modulus, tuple(by_id[i] for i in range(n)))
+    return VertexMap(modulus, tuple(by_id[i] for i in range(n)))
+
+
+def _file_edges(path):
+    """The edges of the .hg3 file at path as column chunks (see _read),
+    read a piece of whole lines at a time with the newline translation of
+    Path.read_text."""
+    with open(path, encoding="utf-8") as f:
+        edges = _read(iter(lambda: f.read(_CHUNK_CHARS) + f.readline(), ""))
+        next(edges)  # the vertex count
+        yield from edges
+
+
+def file_linear_witness(path) -> tuple[tuple[int, int], int, int] | None:
+    """linear_witness of the hypergraph in the .hg3 file at path, which is
+    read a piece at a time and never held whole: once to check linearity
+    and, only if that fails, once more for the witness.  The file's text
+    is read as decode reads it and raises the same FormatError; a file that
+    cannot be read raises OSError, and one that is not UTF-8
+    UnicodeDecodeError."""
+    if all(len(set(listed)) == len(listed)
+           for _, listed in _owner_lists(_file_edges(path), False)):
+        return None
+    return _first_repeat(_file_edges(path))

@@ -8,11 +8,13 @@ type of their own, and the audit's plain loops (a coverage rescan per
 subset, a pool copy per draw, one comprehension per delta row) as
 references for the popcount search, the sparse shuffle and the gathered
 rows.  The codec's retired fast paths stay here as references too: the
-regex for an edge body in encode's form, linearity by a set of pair codes,
-and the first-repeated-pair loop the CLI once ran.  The package is imported only for the records the oracles return,
-the generator they replay, and the closed form the census reports beside
-its count.  Seeded generators for random and planted instances also live
-here so the tests and the acceptance gate draw from the same well.
+regex for an edge body in encode's form, decode as one plain loop over
+the lines of the whole text, linearity by a set of pair codes, and the
+first-repeated-pair loop the CLI once ran.  The package is imported only
+for the records and the error the oracles return or raise, the generator
+they replay, and the closed form the census reports beside its count.
+Seeded generators for random and planted instances also live here so the
+tests and the acceptance gate draw from the same well.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from gridfree import Hypergraph3, LemmaInstance, closed_form_N, coverage
+from gridfree import FormatError, Hypergraph3, LemmaInstance, closed_form_N, coverage
 from gridfree.charsum import SecantCensus
 from gridfree.lemma import EXHAUSTIVE_LIMIT
 from gridfree.rng import splitmix64_stream
@@ -56,6 +58,69 @@ CANONICAL_BODY = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
 def canonical_body_by_regex(body: str) -> bool:
     """Whether body is whole edge lines in encode's form, by regex."""
     return CANONICAL_BODY.fullmatch(body) is not None
+
+
+# An integer token as decode reads it: an optional sign, then ASCII digits.
+INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _int_by_regex(token: str, what: str, lineno: int) -> int:
+    if INTEGER.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() accepts
+            pass
+    raise FormatError(f"{what} {token!r} is not an integer", lineno)
+
+
+def decode_by_lines(text: str) -> Hypergraph3:
+    """decode by the plain loops, with no chunk parser: the trailing
+    newline checked on the whole text, then its lines split, the comments
+    skipped, the header read and every edge line checked one at a time.
+    Raises the FormatError decode raises, at the same line with the same
+    message."""
+    if not text.endswith("\n"):
+        raise FormatError("missing trailing newline", text.count("\n") + 1)
+    lines = text.split("\n")[:-1]
+    idx = 0
+    while idx < len(lines) and lines[idx].startswith("#"):
+        idx += 1
+    if idx == len(lines):
+        raise FormatError("missing header", idx)
+    header = lines[idx].split()
+    if len(header) != 2:
+        raise FormatError(f"malformed header {lines[idx]!r}", idx + 1)
+    n = _int_by_regex(header[0], "vertex count", idx + 1)
+    m = _int_by_regex(header[1], "edge count", idx + 1)
+    if n < 0 or m < 0:
+        raise FormatError("header counts must be non-negative", idx + 1)
+    body = lines[idx + 1:]
+    edges = []
+    for k in range(m):
+        lineno = idx + 2 + k
+        if k == len(body):
+            raise FormatError(f"expected {m} edges, found {k}", lineno)
+        line = body[k]
+        if line.startswith("#"):
+            raise FormatError("comments are only allowed before the header", lineno)
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise FormatError(f"edge line needs three vertex ids, got {len(tokens)}", lineno)
+        a, b, c = (_int_by_regex(t, "vertex id", lineno) for t in tokens)
+        if len({a, b, c}) != 3:
+            raise FormatError(f"repeated vertex in edge {line!r}", lineno)
+        if not a < b < c:
+            raise FormatError(f"edge {line!r} not in ascending order", lineno)
+        if a < 0 or c >= n:
+            raise FormatError(f"vertex id out of range in {line!r}", lineno)
+        if edges and (a, b, c) == edges[-1]:
+            raise FormatError(f"duplicate edge {line!r}", lineno)
+        if edges and (a, b, c) < edges[-1]:
+            raise FormatError(f"edge {line!r} out of lexicographic order", lineno)
+        edges.append((a, b, c))
+    if len(body) > m:
+        raise FormatError("unexpected content after the edge list", idx + 2 + m)
+    return Hypergraph3(n, tuple(edges))
 
 
 def sqrt_scan(p: int, a: int) -> list[int]:

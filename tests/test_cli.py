@@ -210,6 +210,24 @@ def test_unknown_check_and_bad_max_vertices(tmp_path):
     assert proc.returncode == 2
 
 
+def test_unknown_check_is_reported_before_the_input_is_read(tmp_path, monkeypatch, capsys):
+    from gridfree import cli
+
+    proc = run(("verify", "--in", "missing.hg3", "--checks", "linear,nope"), tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("unknown check 'nope'; pick from "), proc.stderr
+
+    def unread(path):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli, "decode", unread)
+    monkeypatch.setattr(cli, "file_linear_witness", unread)
+    (tmp_path / "h.hg3").write_text("3 1\n0 1 2\n")
+    for checks in ("linear,nope", "nope", "gridfree,,linear"):
+        assert cli.main(["verify", "--in", str(tmp_path / "h.hg3"), "--checks", checks]) == 2
+    assert capsys.readouterr().err.count("unknown check") == 3
+
+
 @pytest.mark.parametrize("args", [
     ("verify", "--in", "adir"),
     ("detect", "--in", "adir", "--find", "grid"),
@@ -288,7 +306,7 @@ def test_truncated_file_is_a_parse_error(tmp_path):
 
 
 def test_over_long_vertex_id_is_a_parse_error(tmp_path):
-    # more digits than int() accepts by default: the line loop must name it
+    # more digits than int() accepts by default: the line checker must name it
     (tmp_path / "long.hg3").write_text("3 1\n0 1 " + "9" * 5000 + "\n")
     proc = run(("verify", "--in", "long.hg3"), tmp_path)
     assert proc.returncode == 2
@@ -300,10 +318,10 @@ def test_over_long_vertex_id_is_a_parse_error(tmp_path):
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     from gridfree import cli
 
-    def broken(p):
+    def broken(kind, p):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli, "build_base", broken)
+    monkeypatch.setattr(cli, "construction", broken)
     with pytest.raises(ValueError, match="internal fault"):
         cli.main(["construct", "base", "--p", "5"])
 
@@ -334,7 +352,7 @@ def test_main_restores_the_collector_state(tmp_path, monkeypatch, capsys, collec
     during = []
 
     def watched(build):
-        # construct builds through build_base, or with --out through construction
+        # construct streams the edges of construction, with or without --out
         def call(*args):
             during.append(gc.isenabled())
             if case == "internal":
@@ -342,7 +360,6 @@ def test_main_restores_the_collector_state(tmp_path, monkeypatch, capsys, collec
             return build(*args)
         return call
 
-    monkeypatch.setattr(cli, "build_base", watched(cli.build_base))
     monkeypatch.setattr(cli, "construction", watched(cli.construction))
     if case == "internal":
         with pytest.raises(ValueError, match="internal fault"):

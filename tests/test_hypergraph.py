@@ -229,11 +229,11 @@ def test_planted_lines_past_the_first_chunk():
     k = 3 * h.m // 4
     a, b, c = h.edges[k]
     assert text.index(f"\n{a} {b} {c}\n") > hypergraph._CHUNK_CHARS
-    # lenient lines, read by the line loop (leading zeros by the bulk parse)
+    # lenient lines, read by the line checker (leading zeros by the chunk parser)
     for line in (f"{a}\t{b} {c}", f"+{a} {b} {c}", f"{a}  {b} {c}", f"{a} {b} {c} ",
                  f"{a} {b} {c}\r", f"0{a} {b} 00{c}"):
         assert decode(_plant(text, k, line)) == h, repr(line)
-    # lines the line loop rejects, in encode's form or not; line k + 2 of the
+    # lines the line checker rejects, in encode's form or not; line k + 2 of the
     # file is edge k
     nxt = " ".join(map(str, h.edges[k + 1]))
     for planted, line, fragment in (
@@ -276,8 +276,8 @@ def test_codec_and_linearity_memory_at_p_1009(base1009):
 
 
 def test_line_loop_memory_at_p_1009(base1009):
-    # CRLF line ends are outside encode's form, so the line loop reads them;
-    # it walks the lines without splitting the whole text first
+    # CRLF line ends are outside encode's form, so the line checker reads
+    # them, one chunk of lines at a time, without splitting the whole text
     h, _, _ = base1009
     text = encode(h).replace("\n", "\r\n")
     decoded, peak = _traced_peak(decode, text)  # the result counts too
@@ -452,15 +452,30 @@ PARSE_ERRORS = [
     ("6 2\n0\t1\n2 3 4 5\n", 2, "three vertex ids, got 2"),
     ("6 2\n0 1 2\n3 4 +6\n", 3, "vertex id out of range"),
     ("6 2\n0 1 2\n3 4 5x\n", 3, "vertex id '5x' is not an integer"),
+    # integers are an optional sign and ASCII digits only, not what int() reads
+    ("11 1\n0 1 1_0\n", 2, "vertex id '1_0' is not an integer"),
+    ("11 1\n0 1 \u0661\u0660\n", 2, "vertex id '\u0661\u0660' is not an integer"),
+    ("1_1 1\n0 1 2\n", 1, "vertex count '1_1' is not an integer"),
+    ("11 \u0661\n0 1 2\n", 1, "edge count '\u0661' is not an integer"),
+    ("11 1\n0 1 \u00b2\n", 2, "vertex id '\u00b2' is not an integer"),
+    # a provenance comment, which only decode_with_provenance reads
+    ("# modulus 11\n# vertex 1_0 V1 0 0\n11 1\n0 1 2\n", 2,
+     "vertex id '1_0' is not an integer"),
 ]
 
 
 @pytest.mark.parametrize("text,line,fragment", PARSE_ERRORS)
 def test_parse_errors_carry_line_numbers(text, line, fragment):
-    with pytest.raises(FormatError) as exc:
-        decode(text)
-    assert exc.value.line == line
-    assert fragment in str(exc.value)
+    parsers = [decode_with_provenance]
+    if text.startswith("#"):
+        assert decode(text) == oracles.decode_by_lines(text)  # comments are skipped
+    else:
+        parsers += [decode, oracles.decode_by_lines]
+    for parse in parsers:
+        with pytest.raises(FormatError) as exc:
+            parse(text)
+        assert exc.value.line == line
+        assert fragment in str(exc.value)
 
 
 CANONICAL_TEXT = "5 2\n0 1 2\n0 3 4\n"
@@ -478,6 +493,7 @@ def test_lenient_edge_lines_decode_like_canonical_text(text):
     h = decode(text)
     assert h == decode(CANONICAL_TEXT)
     assert encode(h) == CANONICAL_TEXT
+    assert oracles.decode_by_lines(text) == h
 
 
 def test_comments_allowed_only_before_header():

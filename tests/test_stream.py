@@ -1,11 +1,13 @@
-"""The streaming CLI routes against the in-memory ones.
+"""The streaming CLI routes against their references.
 
-`construct --out` streams the sweep's rows through the line formatter
-into its file, and `verify --checks linear` reads the file a chunk of
-whole lines at a time, falling back to the whole-file decode on anything
-irregular.  Each must give exactly the bytes, exit codes and messages of
-the in-memory route: `encode(build_*(...))` for construct, and `decode`
-then `is_linear`/`linear_witness` for verify.
+`construct` streams the sweep's rows: through the line formatter into
+its file with `--out`, and only counted without it.  `verify --checks
+linear` reads every file with the codec's one reader, a chunk of whole
+lines at a time, with a line checker for the chunks outside encode's
+form.  Each must give exactly the bytes, exit codes and messages of its
+reference: `encode(build_*(...))` for construct, and for verify
+`oracles.decode_by_lines` on the file's text, read as UTF-8 with
+universal newlines, then the first-repeated-pair loop.
 """
 
 import io
@@ -19,7 +21,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gridfree import Hypergraph3, build_base, build_qr, build_random, cli, encode, hypergraph
+from gridfree import (
+    FormatError,
+    Hypergraph3,
+    __version__,
+    build_base,
+    build_qr,
+    build_random,
+    cli,
+    decode,
+    encode,
+    hypergraph,
+)
 from gridfree.construct import construction
 from test_hypergraph import BODY_ALPHABET, CROSS_ROLE_REPEATS, ENCODE_PRIMES, _mutate
 
@@ -27,14 +40,10 @@ TIMING = re.compile(r"^gridfree: \d+\.\d{3}s elapsed$")
 RHOS = ((0, 1), (1, 3), (1, 2), (1, 1))
 
 
-def main(argv, stream=True):
+def main(argv):
     """(exit code, stdout, first stderr line, decode calls) of in-process
-    `gridfree argv`; with stream=False the file stream refuses every file,
-    so verify takes the in-memory route."""
+    `gridfree argv`."""
     decoded = []
-
-    def refuse(path):
-        raise ValueError("stream refused")
 
     def counted(text):
         decoded.append(len(text))
@@ -44,8 +53,6 @@ def main(argv, stream=True):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
         mp.setattr(cli, "decode", counted)
-        if not stream:
-            mp.setattr(cli, "file_linear_witness", refuse)
         code = cli.main(argv)
     first = err.getvalue().splitlines()[0]
     return code, out.getvalue(), "<timing>" if TIMING.match(first) else first, len(decoded)
@@ -72,7 +79,7 @@ def test_construct_out_matches_encode_of_builders(p, tmp_path):
         assert payload["report"] == report.to_json_dict()
         assert stdout == json.dumps(payload, separators=(",", ":")) + "\n"
         assert (tmp_path / f"{kind}.report.json").read_text() == stdout
-        # without --out, construct builds in memory: the same report
+        # without --out, construct counts the same stream: the same report
         code, plain, _, _ = main(construct_argv(kind, p, rho, seed))
         assert json.loads(plain)["report"] == payload["report"]
     assert sorted(f.name for f in tmp_path.iterdir()) == [
@@ -91,10 +98,13 @@ def test_write_edges_names_the_first_edge_out_of_form():
         f = io.StringIO()
         with pytest.raises(ValueError, match=re.escape(fragment)):
             hypergraph.write_edges(f, n, iter(chunks))
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            hypergraph.count_edges(n, iter(chunks))
+    chunks = [([0, 0], [1, 3], [2, 4]), ([], [], []), ([1], [2], [3])]
     f = io.StringIO()
-    assert hypergraph.write_edges(f, 5, iter([([0, 0], [1, 3], [2, 4]), ([], [], []),
-                                              ([1], [2], [3])])) == 3
+    assert hypergraph.write_edges(f, 5, iter(chunks)) == 3
     assert f.getvalue() == "0 1 2\n0 3 4\n1 2 3\n"
+    assert hypergraph.count_edges(5, iter(chunks)) == 3
 
 
 def test_construction_validates_like_the_builders():
@@ -125,17 +135,39 @@ def test_failed_report_check_leaves_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def verify_both(path, streams: bool):
-    """verify --checks linear on path by the stream and by the in-memory
-    route: equal exit codes, stdout and first stderr lines; the stream
-    took the file exactly when streams is set."""
-    argv = ["verify", "--checks", "linear", "--in", str(path)]
-    code, out, err, decoded = main(argv)
-    assert (code, out, err) == main(argv, stream=False)[:3]
-    if streams:
-        assert decoded == 0
+def verify_by_lines(path):
+    """(exit code, stdout, first stderr line) of `verify --checks linear`
+    on path, from the file's bytes decoded as UTF-8 with universal newlines,
+    oracles.decode_by_lines and the first-repeated-pair loop."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        return 2, "", f"cannot read {path}: {exc.strerror}"
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return 2, "", f"cannot read {path}: not UTF-8 text"
+    try:
+        h = oracles.decode_by_lines(text.replace("\r\n", "\n").replace("\r", "\n"))
+    except FormatError as exc:
+        return 2, "", f"parse error: {exc}"
+    manifest = {"command": "verify", "parameters": {"checks": ["linear"]}, "seed": None,
+                "version": __version__, "inputs": [str(path)], "outputs": []}
+    witness = oracles.linear_witness_by_loop(h)
+    if witness is None:
+        payload = {"manifest": manifest, "ok": True, "checks": ["linear"]}
     else:
-        assert decoded == 1 or code == 2  # reading the file whole can fail before decode
+        payload = {"manifest": manifest, "ok": False, "failed": "linear", "witness": witness}
+    return int(witness is not None), json.dumps(payload, separators=(",", ":")) + "\n", "<timing>"
+
+
+def verify_streamed(path):
+    """verify --checks linear on path: the exit code, stdout and first
+    stderr line of the reference, with the file streamed, never decoded
+    whole."""
+    code, out, err, decoded = main(["verify", "--checks", "linear", "--in", str(path)])
+    assert (code, out, err) == verify_by_lines(path)
+    assert decoded == 0
     return code, out, err
 
 
@@ -154,7 +186,7 @@ def test_verify_linear_streams_builder_files(tmp_path):
     for name, text in builder_files():
         path = tmp_path / "h.hg3"
         path.write_text(text)
-        code, out, err = verify_both(path, streams=True)
+        code, out, err = verify_streamed(path)
         assert (code, err) == (0, "<timing>"), name
         assert json.loads(out)["ok"] is True
 
@@ -178,7 +210,7 @@ def test_verify_linear_witnesses_past_the_first_chunk(tmp_path, base211):
         bad = Hypergraph3.from_edges(h.n + 6, h.edges + plant)
         path = tmp_path / "bad.hg3"
         path.write_text(encode(bad))
-        code, out, _ = verify_both(path, streams=True)
+        code, out, _ = verify_streamed(path)
         assert code == 1, plant
         assert json.loads(out)["witness"] == oracles.linear_witness_by_loop(bad), plant
 
@@ -191,7 +223,7 @@ def _body_line(text, k):
     return pos
 
 
-def test_verify_linear_falls_back_on_irregular_files(tmp_path, base211):
+def test_verify_linear_streams_irregular_files(tmp_path, base211):
     h = base211
     text = encode(h)
     k = 3 * h.m // 4
@@ -215,57 +247,83 @@ def test_verify_linear_falls_back_on_irregular_files(tmp_path, base211):
     for name, bad in cases.items():
         path = tmp_path / "bad.hg3"
         path.write_text(bad)
-        code, out, err = verify_both(path, streams=False)
-        if name == "tab":  # lenient: decode reads it
+        code, out, err = verify_streamed(path)
+        if name == "tab":  # lenient: the line checker reads its chunk
             assert (code, err) == (0, "<timing>")
         else:
             assert code == 2 and out == "" and err.startswith("parse error: line "), name
-    # CRLF line ends read as LF, as Path.read_text reads them: the stream takes it
+    # CRLF line ends read as LF, as Path.read_text reads them
     path = tmp_path / "crlf.hg3"
     path.write_bytes(text.replace("\n", "\r\n").encode())
-    assert verify_both(path, streams=True)[0] == 0
+    assert verify_streamed(path)[0] == 0
     # bytes that are not UTF-8, past the first chunk
     path.write_bytes(text[:at].encode() + b"\xff\xfe\n" + text[at:].encode())
-    code, out, err = verify_both(path, streams=False)
+    code, out, err = verify_streamed(path)
     assert (code, out, err) == (2, "", f"cannot read {path}: not UTF-8 text")
 
 
 def test_verify_linear_on_unreadable_paths(tmp_path):
     (tmp_path / "adir").mkdir()
     for name in ("adir", "missing.hg3"):
-        code, out, err = verify_both(tmp_path / name, streams=False)
+        code, out, err = verify_streamed(tmp_path / name)
         assert (code, out) == (2, "") and err.startswith(f"cannot read {tmp_path / name}: ")
 
 
-@settings(max_examples=150, deadline=None)
+# What a mutation anywhere in a text may insert or substitute: the body's
+# characters, a comment mark, a minus sign and an underscore.
+TEXT_ALPHABET = BODY_ALPHABET + "#-_"
+COMMENTS = ["# a note", "# modulus 7", "# vertex 0 V1 1_0 0", "#"]
+
+
+def _outcome(parse, text):
+    """The hypergraph parse reads from text, or the line and message of its
+    FormatError."""
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return exc.line, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 10**6),
     st.integers(0, 9),
     st.integers(0, 16),
+    st.lists(st.sampled_from(COMMENTS), max_size=2),
     st.lists(st.tuples(st.sampled_from(["insert", "delete", "substitute"]),
-                       st.integers(0, 10**4), st.sampled_from(BODY_ALPHABET)),
+                       st.integers(0, 10**4), st.sampled_from(TEXT_ALPHABET)),
              max_size=3),
+    st.booleans(),
+    st.lists(st.integers(0, 10**4), max_size=2),
     st.sampled_from([1, 7, 64]),
 )
-def test_verify_linear_stream_matches_decode(tmp_path_factory, seed, n_extra, m, edits, chunk):
+def test_verify_linear_stream_matches_decode(tmp_path_factory, seed, n_extra, m, comments,
+                                             edits, drop_newline, bad_bytes, chunk):
+    # mutations of the comments, the header and the body, a dropped final
+    # newline, planted bytes that are not UTF-8 and lone CRs, at chunk sizes
+    # that cut the text into one or a few lines per chunk
     rng = random.Random(seed)
     n = 3 + n_extra
     m = min(m, n * (n - 1) * (n - 2) // 6)
     h = oracles.random_hypergraph(rng, n, m) if m else Hypergraph3(n, ())
-    text = encode(h)
-    head = text.index("\n") + 1
-    text = text[:head] + _mutate(text[head:], edits)
+    text = _mutate("".join(f"{c}\n" for c in comments) + encode(h), edits)
+    if drop_newline:
+        text = text[:-1]
+    raw = text.encode()
+    for at in bad_bytes:
+        at %= len(raw) + 1
+        raw = raw[:at] + b"\xff" + raw[at:]
     path = tmp_path_factory.mktemp("prop") / "h.hg3"
-    path.write_text(text, encoding="utf-8")
-    argv = ["verify", "--checks", "linear", "--in", str(path)]
+    path.write_bytes(raw)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hypergraph, "_CHUNK_CHARS", chunk)
-        streamed = main(argv)
-    whole = main(argv, stream=False)
-    assert streamed[:3] == whole[:3]
-    if not edits:
-        assert streamed[3] == 0  # encode's own text never needs decode
-        assert streamed[0] == (0 if oracles.is_linear_by_pairs(h.edges) else 1)
+        code, _, _ = verify_streamed(path)
+        if not (edits or drop_newline or bad_bytes):
+            assert code == (0 if oracles.is_linear_by_pairs(h.edges) else 1)
+        if not bad_bytes:
+            # decode reads the text as given and as the file stream reads it
+            for text in (text, text.replace("\r\n", "\n").replace("\r", "\n")):
+                assert _outcome(decode, text) == _outcome(oracles.decode_by_lines, text)
 
 
 def _traced_peak(fn, *args):
@@ -279,7 +337,8 @@ def _traced_peak(fn, *args):
 
 
 # Traced peaks at p = 1009 (base m = 254,268), measured with Python 3.11:
-# streamed, then as the whole-hypergraph route took them.
+# streamed with --out, then as the whole-hypergraph route took them.
+# Counting the stream without --out peaks at 0.7, 3.6 and 0.5 MiB.
 CONSTRUCT_BUDGETS = [
     ("base", None, 4),      # 1.1 MiB; 32.1 MiB building and encoding
     ("qr", None, 8),        # 3.8 MiB; 35.6 MiB
@@ -295,6 +354,14 @@ def test_construct_out_memory_at_p_1009(tmp_path, kind, rho, mib):
     assert peak <= mib << 20, peak
 
 
+@pytest.mark.parametrize("kind,rho,mib", CONSTRUCT_BUDGETS)
+def test_construct_without_out_memory_at_p_1009(kind, rho, mib):
+    # the report needs only the edge count: the stream is counted, not kept
+    (code, out, _, _), peak = _traced_peak(main, construct_argv(kind, 1009, rho, 3))
+    assert code == 0 and json.loads(out)["report"]["m"] > 0
+    assert peak <= mib << 20, peak
+
+
 @pytest.fixture(scope="module")
 def base1009():
     return build_base(1009)
@@ -307,6 +374,22 @@ def test_verify_linear_memory_at_p_1009(tmp_path, base1009):
     (code, _, _, decoded), peak = _traced_peak(main, argv)
     assert (code, decoded) == (0, 0)
     assert peak <= 8 << 20, peak  # 2.8 MiB; 26.9 MiB reading the file whole
+
+
+def test_verify_linear_lenient_line_memory_at_p_1009(tmp_path, base1009):
+    # one tab-separated line past the first chunk: the line checker reads
+    # that chunk alone, and the file still streams
+    h, vmap, _ = base1009
+    text = encode(h, vmap)
+    a, b, c = h.edges[3 * h.m // 4]
+    at = text.index(f"\n{a} {b} {c}\n") + 1
+    assert at > hypergraph._CHUNK_CHARS
+    path = tmp_path / "tab1009.hg3"
+    path.write_text(text[:at] + f"{a}\t{b} {c}" + text[text.index("\n", at):])
+    argv = ["verify", "--checks", "linear", "--in", str(path)]
+    (code, _, _, decoded), peak = _traced_peak(main, argv)
+    assert (code, decoded) == (0, 0)
+    assert peak <= 8 << 20, peak  # 3.0 MiB; 39.9 MiB reading the file whole
 
 
 def test_verify_linear_witness_memory_at_p_1009(tmp_path, base1009):
