@@ -124,7 +124,7 @@ def secant_census(p: int) -> SecantCensus:
     xs = sorted({x * x % pv for x in range(pv)})
     pairs = list(combinations(xs, 2))
     classes = [0] * pv
-    for d, lo, hi in _secant_offsets(pv, -4):
+    for d, lo, hi in _secant_offsets(pv):
         classes[d] = 1 if lo == hi else 2
     # (m + r)/2 and (m - r)/2 are distinct exactly when r and -r are.
     n_roots = [0 if r is None else len({r, -r % pv}) for r in min_sqrt_table(pv)]

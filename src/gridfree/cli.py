@@ -7,13 +7,14 @@ timing goes to stderr, never into the reports.  Exit codes: 0 success,
 1 a contracted identity or requested check failed, 2 usage or parse error.
 Each command runs with the cyclic garbage collector paused.
 
-`construct` and `verify --checks linear` never hold a hypergraph.
-`construct` counts the construction's edge chunks as the sweep yields
-them; with `--out` it writes them to a temporary file and copies them
-behind the header once the report has validated their count.  `verify
---checks linear` reads the file with the codec's one reader, a chunk of
-whole lines at a time (twice when it must name a witness), and reports
-every file, irregular or unreadable, as decode on its whole text would.
+`construct` never holds a hypergraph.  It counts the construction's edge
+chunks as the sweep yields them; with `--out` it writes them to a
+temporary file and copies them behind the header once the report has
+validated their count.  `verify` checks linearity by reading the file
+with the codec's one reader, a chunk of whole lines at a time (twice
+when it must name a witness), and decodes the whole file only for the
+other checks; every file, irregular or unreadable, is reported as decode
+on its whole text would report it.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .hypergraph import (
     decode,
     encode_head,
     file_linear_witness,
-    is_linear,
-    linear_witness,
     write_edges,
 )
 from .lemma import (
@@ -247,12 +246,10 @@ def cmd_verify(args) -> int:
         if name not in CHECK_NAMES:
             print(f"unknown check {name!r}; pick from {', '.join(CHECK_NAMES)}", file=sys.stderr)
             return EXIT_USAGE
-    h = None  # for linearity alone the file streams and only its repeat is kept
+    detectors = set(requested) != {"linear"}
     try:
-        if requested == ["linear"]:
-            repeat = file_linear_witness(args.infile)
-        else:
-            h = decode(Path(args.infile).read_text(encoding="utf-8"))
+        repeat = file_linear_witness(args.infile) if "linear" in requested else None
+        h = decode(Path(args.infile).read_text(encoding="utf-8")) if detectors else None
     except (OSError, UnicodeDecodeError) as exc:
         return _cannot_read(args.infile, exc)
     manifest = _manifest(
@@ -262,8 +259,6 @@ def cmd_verify(args) -> int:
     )
     for name in requested:
         if name == "linear":
-            if h is not None:
-                repeat = None if is_linear(h) else linear_witness(h)
             found = repeat
         elif name == "gridfree":
             found = find_grid(h)

@@ -13,20 +13,19 @@ V1 = {(x, x^2)} and V2 = {(x, x^2 + 1)}:
   point there.
 
 The third point, when two candidates exist, is always the one with the
-smaller x coordinate.  The secant through the points with parameters a and
-a + d has discriminant d^2 -+ 4, which depends on d alone, so all three
-builders filter one table keyed on d: for each d with a square
-discriminant, the offsets that put its candidate third points at a + o
-(mod p).  That takes p character/root lookups instead of p^2/2.  One sweep
-(_Sweep) yields the edges a row of plain int columns at a time, in
-canonical order for base and random; qr regroups its rows in per-S
-buckets of ints.  construction() hands those column chunks out as a
-stream, which the `construct` command counts, or with `--out` writes
-straight to its file, and the build_* functions collect into a
-Hypergraph3.  Each vertex's provenance is its origin and its point
-(x, x^2 + t) as plain residues mod p.  The geometry module recomputes
-the same incidences one secant at a time, tests/oracles.py keeps the
-pair-by-pair loops, and the tests cross-check all three routes.
+smaller x coordinate.  The secant of V1 through its points at a and
+a + d meets V2 at a + lo and a + hi, offsets that depend on d alone, so
+every builder reads one table keyed on d (_secant_offsets): p
+character/root lookups instead of p^2/2.  qr reads it from its squares,
+since each V2 pair lies on the secant (or, for d = 0, the tangent)
+through the square it picks.  One sweep (_Sweep) yields the edges in
+canonical order, one row of plain int columns per first vertex, which
+construction() hands out as a stream: the `construct` command counts it
+or writes it straight to its `--out` file, and the build_* functions
+collect it into a Hypergraph3.  Provenance is each vertex's origin and
+its point (x, x^2 + t) as residues mod p.  The geometry module
+recomputes the incidences one secant at a time and tests/oracles.py
+pair by pair, and the tests cross-check all three routes.
 """
 
 from __future__ import annotations
@@ -131,23 +130,22 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
-def _secant_offsets(pv: int, shift: int) -> list[tuple[int, int, int]]:
-    """The sweep table every builder filters: (d, lo, hi) for each d in
-    1..p-1 with chi(d^2 + shift) >= 0, ascending in d.
+def _secant_offsets(pv: int) -> list[tuple[int, int, int]]:
+    """The one sweep table: (d, lo, hi) for each d in 0..p-1 with
+    chi(d^2 - 4) >= 0, ascending in d.
 
-    The secant through the points with parameters a and b = a + d on one
-    parabola meets the other where x^2 - (a + b)x + ab - shift/4 = 0.  Its
-    discriminant (a - b)^2 + shift depends on d alone, and its roots are
-    a + lo and a + hi (mod p) with lo = (d - r)/2, hi = (d + r)/2 for the
-    least square root r (lo == hi when the secant is tangent).  shift is -4
-    for secants of V1 meeting V2 and +4 for secants of V2 meeting V1.
+    The secant of V1 through its points at a and a + d (for d = 0, the
+    tangent at a) meets V2 where x^2 - (2a + d)x + a(a + d) + 1 = 0, with
+    discriminant d^2 - 4, at a + lo and a + hi (mod p): lo = (d - r)/2 and
+    hi = (d + r)/2 for the least square root r, lo == hi when the line is
+    tangent to V2.  The d = 0 row exists when p = 1 (mod 4).
     """
     chi = chi_table(pv)
     root = min_sqrt_table(pv)
     inv2 = (pv + 1) // 2
     table = []
-    for d in range(1, pv):
-        disc = (d * d + shift) % pv
+    for d in range(pv):
+        disc = (d * d - 4) % pv
         if chi[disc] >= 0:
             r = root[disc]
             table.append((d, (d - r) * inv2 % pv, (d + r) * inv2 % pv))
@@ -155,39 +153,45 @@ def _secant_offsets(pv: int, shift: int) -> list[tuple[int, int, int]]:
 
 
 class _Sweep:
-    """Every pair a < b of parameters whose secant (see _secant_offsets)
-    meets the other parabola inside the pool, one row per a in ascending
-    order: columns ([a] * k, [b ...], [w ...]) of vertex ids, b ascending,
-    w the candidate with the smaller x.  Reading the rows also counts, in
-    two_point, the pairs with two candidates in the pool.
+    """The rows of _secant_offsets' table as edges in canonical order:
+    columns ([a] * k, [b ...], [c ...]) of vertex ids, one row per V1
+    vertex a, ascending in b.  two_point counts the secants read with two
+    candidate points in the pool, the kept x's ascending.
 
-    pool lists the kept x coordinates ascending; the point with x = pool[k]
-    is vertex pool_id + k, so the smaller-x candidate is the smaller id w.
-    The swept parabola's parameter a is vertex line_id + a.
+    Base and random: V1's point a is vertex a and the pool's k-th point of
+    V2 is vertex p + k.  Row a takes each a + d < p whose secant meets V2
+    in the pool, with its smaller candidate.  by_square (qr): the pool is
+    V1's squares S, pool[k] is vertex k and V2's point x is vertex |S| + x.
+    Row k takes the V2 pair {s + lo, s + hi}, s = pool[k], of each table
+    row with lo != hi unless s + d is a smaller square.  The line through
+    s and one V2 point fixes the other, so each smaller V2 id occurs once.
     """
 
-    def __init__(self, pv: int, shift: int, pool: Sequence[int], pool_id: int,
-                 line_id: int = 0):
-        self.pv, self.shift, self.pool = pv, shift, pool
-        self.pool_id, self.line_id = pool_id, line_id
+    def __init__(self, pv: int, pool: Sequence[int], by_square: bool):
+        self.pv, self.pool, self.by_square = pv, pool, by_square
         self.two_point = 0
 
     def __iter__(self):
-        pv, pool_id = self.pv, self.pool_id
-        out = pool_id + len(self.pool)  # above every pool id: x is not in the pool
+        pv, pool = self.pv, self.pool
+        first = 0 if self.by_square else pv  # the pool's first vertex id
+        out = first + len(pool)  # above every pool id: x is not in the pool
         ids = [out] * pv
-        for rank, x in enumerate(self.pool):
-            ids[x] = pool_id + rank
+        for rank, x in enumerate(pool):
+            ids[x] = first + rank
         ids += ids  # ids[a + lo] for a + lo < 2p, without reducing mod p
-        table = _secant_offsets(pv, self.shift)
+        rows = self._square_rows if self.by_square else self._secant_rows
+        return rows(_secant_offsets(pv), ids, out)
+
+    def _secant_rows(self, table, ids, out):
+        pv = self.pv
         ds = [d for d, _, _ in table]
-        line = list(range(self.line_id, self.line_id + pv))  # the swept ids, one shared int each
+        start = bisect_left(ds, 1)  # the tangent at a (d = 0) has no second V1 point
+        line = list(range(pv))  # the V1 ids, one shared int each
         for a in range(pv):
             seconds, thirds = [], []
             two_point = 0
-            for d, lo, hi in table[: bisect_left(ds, pv - a)]:
-                u = ids[a + lo]
-                v = ids[a + hi]
+            for d, lo, hi in table[start: bisect_left(ds, pv - a)]:
+                u, v = ids[a + lo], ids[a + hi]
                 if v < u:
                     u, v = v, u
                 if u < out:
@@ -198,20 +202,23 @@ class _Sweep:
             self.two_point += two_point
             yield [line[a]] * len(seconds), seconds, thirds
 
-
-def _by_pool_vertex(sweep: _Sweep, pool_size: int):
-    """The rows of a sweep whose pool ids 0..pool_size-1 lie below the
-    swept ids, regrouped by pool vertex w: one column chunk of the edges
-    (w, a, b) per w.  Each w's bucket of plain ints fills in ascending (a, b)
-    order, so the chunks come in canonical order."""
-    buckets = [[] for _ in range(pool_size)]
-    for firsts, seconds, thirds in sweep:
-        for a, b, w in zip(firsts, seconds, thirds):
-            buckets[w] += a, b
-    for w in range(pool_size):
-        ab = buckets[w]
-        buckets[w] = None  # free each bucket once it is read
-        yield [w] * (len(ab) // 2), ab[0::2], ab[1::2]
+    def _square_rows(self, table, ids, out):
+        v2 = list(range(out, out + self.pv)) * 2  # V2's ids, one shared int each
+        pairs = [row for row in table if row[1] != row[2]]
+        for k, s in enumerate(self.pool):
+            row = {}
+            for d, lo, hi in pairs:
+                t = ids[s + d]
+                if t < k:
+                    continue
+                if k < t < out:
+                    self.two_point += 1
+                u, v = v2[s + lo], v2[s + hi]
+                if v < u:
+                    u, v = v, u
+                row[u] = v
+            seconds = sorted(row)
+            yield [k] * len(seconds), seconds, list(map(row.__getitem__, seconds))
 
 
 def construction(kind: str, p: int, rho_num: int | None = None, rho_den: int | None = None,
@@ -220,35 +227,32 @@ def construction(kind: str, p: int, rho_num: int | None = None, rho_den: int | N
     stream: (vertex map, edge chunks, report).
 
     The chunks give the edges in canonical order as columns (firsts,
-    seconds, thirds), one sweep row at a time (one S vertex at a time for
-    qr), so no edge is held as a tuple.  Once every chunk has been read,
-    report(m) is the ConstructionReport of the m edges.  rho_num, rho_den
-    and seed are build_random's and are only read for kind "random".
+    seconds, thirds), one sweep row at a time, so no edge is held as a
+    tuple.  Once every chunk has been read, report(m) is the
+    ConstructionReport of the m edges.  rho_num, rho_den and seed are
+    build_random's and are only read for kind "random".
     """
     pv = check_prime(p, 5)
     if kind == "qr":
-        squares = sorted({x * x % pv for x in range(pv)})
-        sweep = _Sweep(pv, 4, squares, 0, len(squares))
-        chunks = _by_pool_vertex(sweep, len(squares))
-        points = [VertexInfo("S-of-V1", x, x * x % pv) for x in squares]
+        pool = sorted({x * x % pv for x in range(pv)})
+        points = [VertexInfo("S-of-V1", x, x * x % pv) for x in pool]
         points += [VertexInfo("V2", x, (x * x + 1) % pv) for x in range(pv)]
-        selection_size = len(squares)
     elif kind in ("base", "random"):
         pool = range(pv) if kind == "base" else select_subset(pv, rho_num, rho_den, seed)
-        chunks = sweep = _Sweep(pv, -4, pool, pv)
         origin = "V2" if kind == "base" else "S-of-V2"
         points = [VertexInfo("V1", x, x * x % pv) for x in range(pv)]
         points += [VertexInfo(origin, x, (x * x + 1) % pv) for x in pool]
-        selection_size = len(pool) if kind == "random" else None
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    sweep = _Sweep(pv, pool, kind == "qr")
+    selection_size = None if kind == "base" else len(pool)
     vmap = VertexMap(pv, points)
 
     def report(m: int) -> ConstructionReport:
         return ConstructionReport(pv, kind, len(vmap), m, sweep.two_point, selection_size,
                                   seed if kind == "random" else None)
 
-    return vmap, iter(chunks), report
+    return vmap, iter(sweep), report
 
 
 def _built(vmap: VertexMap, chunks, report) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
@@ -273,7 +277,7 @@ def count_two_point_secants(p: int) -> int:
     """Number of V1 secants meeting V2 in two points: the pairs with
     chi((a-b)^2 - 4) = +1, expected p(p - chi(-1) - 4)/4."""
     pv = check_prime(p, 5)
-    return sum(pv - d for d, lo, hi in _secant_offsets(pv, -4) if lo != hi)
+    return sum(pv - d for d, lo, hi in _secant_offsets(pv) if 0 < d and lo != hi)
 
 
 def build_random(

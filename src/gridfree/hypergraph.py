@@ -10,18 +10,19 @@ lexicographically with no duplicates, and isolated vertices are first-class
     n m
     a b c        (m lines, each ascending, list sorted, trailing newline)
 
-The constructor checks all of this in one pass over the edges and walks
-them edge by edge only to name the first offender.  Streams of edges
-travel as column chunks (firsts, seconds, thirds), checked chunk by chunk
-against the same rules by _canonical_chunk.  One formatter writes edge
-lines from a table of id strings, so each id is converted once: encode
-runs it over a hypergraph's edges a chunk at a time, and write_edges over
-a construction's column chunks into a file, without any Hypergraph3.
-One reader, _read, takes decode's text, or a file for file_linear_witness,
-a chunk of whole lines at a time.  A body chunk in encode's exact form is
-parsed by deleting its digits, with one int shared per distinct id; only
-a chunk that this or the canonical check refuses goes to the line
-checker, which reads lenient lines and names the first offending one.
+Streams of edges travel as column chunks (firsts, seconds, thirds), and
+one check, _canonical_chunk, holds each chunk to these rules; the
+constructor runs it over its edges a chunk at a time once they are
+triples of ints.  Only _reject walks edges one by one, to name the first
+offender.  One formatter writes edge lines from a table of id strings,
+so each id is converted once: encode runs it over a hypergraph's edges a
+chunk at a time, and write_edges over a construction's column chunks
+into a file, without any Hypergraph3.  One reader, _read, takes decode's
+text, or a file for file_linear_witness, a chunk of whole lines at a
+time.  A body chunk in encode's exact form is parsed by deleting its
+digits, with one int shared per distinct id; only a chunk that this or
+the canonical check refuses goes to the line checker, which reads
+lenient lines and names the first offending one.
 Linearity (every vertex pair in at most one edge) is checked in O(m) by
 one owner-list walk over edges in canonical order: a pair is owned by its
 smaller vertex, whose list is complete, checked and freed when that
@@ -94,34 +95,11 @@ class Hypergraph3(Record):
             raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
         edges = tuple(map(tuple, self.edges))
         object.__setattr__(self, "edges", edges)
-        try:
-            canonical = all(
-                type(a) is type(b) is type(c) is int and 0 <= a < b < c < n
-                for a, b, c in edges
-            ) and all(map(lt, edges, islice(edges, 1, None)))
-        except (TypeError, ValueError):
-            canonical = False
-        if not canonical:
-            self._reject(edges)
-
-    def _reject(self, edges) -> None:
-        """Raise the ValueError naming the first edge that is not a triple
-        of ints, not strictly ascending, out of range, or not above its
-        predecessor."""
-        prev = None
-        for e in edges:
-            if len(e) != 3:
-                raise ValueError(f"edge {e!r} is not a triple")
-            a, b, c = e
-            if not (type(a) is type(b) is type(c) is int):
-                raise ValueError(f"edge {e!r} has a vertex id that is not an int")
-            if not (a < b < c):
-                raise ValueError(f"edge {e!r} is not strictly ascending")
-            if a < 0 or c >= self.n:
-                raise ValueError(f"edge {e!r} out of range for n={self.n}")
-            if prev is not None and e <= prev:
-                raise ValueError(f"edge list not sorted or has duplicates at {e!r}")
-            prev = e
+        if set(map(len, edges)) - {3} or not all(
+                type(a) is type(b) is type(c) is int for a, b, c in edges):
+            _reject(n, edges)
+        for _ in _checked_chunks(n, _edge_chunks(edges)):
+            pass
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Hypergraph3":
@@ -141,11 +119,33 @@ class Hypergraph3(Record):
         return len(self.edges)
 
 
+def _reject(n: int, edges) -> None:
+    """Raise the ValueError naming the first edge that is not a triple of
+    ints, not strictly ascending, out of range for n vertices, or not above
+    its predecessor."""
+    prev = None
+    for e in edges:
+        if len(e) != 3:
+            raise ValueError(f"edge {e!r} is not a triple")
+        a, b, c = e
+        if not (type(a) is type(b) is type(c) is int):
+            raise ValueError(f"edge {e!r} has a vertex id that is not an int")
+        if not (a < b < c):
+            raise ValueError(f"edge {e!r} is not strictly ascending")
+        if a < 0 or c >= n:
+            raise ValueError(f"edge {e!r} out of range for n={n}")
+        if prev is not None and e <= prev:
+            raise ValueError(f"edge list not sorted or has duplicates at {e!r}")
+        prev = e
+
+
 def _edge_chunks(edges):
     """The edges as column chunks (firsts, seconds, thirds), _CHUNK_EDGES
     edges at a time."""
+    columns = itemgetter(0), itemgetter(1), itemgetter(2)
     for i in range(0, len(edges), _CHUNK_EDGES):
-        yield tuple(zip(*edges[i:i + _CHUNK_EDGES]))
+        chunk = edges[i:i + _CHUNK_EDGES]
+        yield tuple(list(map(column, chunk)) for column in columns)
 
 
 def _owner_lists(chunks, indexed: bool):
@@ -342,28 +342,28 @@ def _canonical_chunk(firsts, seconds, thirds, prev, n: int) -> bool:
     Every test runs over whole columns in C."""
     if not firsts:
         return True
-    nxt = islice(firsts, 1, None), islice(seconds, 1, None), islice(thirds, 1, None)
     return (
         min(firsts) >= 0
         and max(thirds) < n
         and all(map(lt, firsts, seconds))
         and all(map(lt, seconds, thirds))
         and (prev is None or prev < (firsts[0], seconds[0], thirds[0]))
-        and all(map(lt, zip(firsts, seconds, thirds), zip(*nxt)))
+        and all(map(lt, zip(firsts, seconds, thirds),
+                    islice(zip(firsts, seconds, thirds), 1, None)))
     )
+
 
 def _checked_chunks(n: int, chunks):
     """The non-empty column chunks (firsts, seconds, thirds) of chunks,
-    each checked as the constructor checks a hypergraph on n vertices; a
-    chunk out of canonical form raises the constructor's ValueError naming
-    the first offending edge."""
+    each checked by _canonical_chunk against the constructor's rules for a
+    hypergraph on n vertices; a chunk out of canonical form raises
+    _reject's ValueError naming the first offending edge."""
     prev = None
     for firsts, seconds, thirds in chunks:
         if not firsts:
             continue
         if not _canonical_chunk(firsts, seconds, thirds, prev, n):
-            # the constructor raises, naming the first offending edge
-            Hypergraph3(n, [*([prev] if prev else ()), *zip(firsts, seconds, thirds)])
+            _reject(n, [*([prev] if prev else ()), *zip(firsts, seconds, thirds)])
         yield firsts, seconds, thirds
         prev = firsts[-1], seconds[-1], thirds[-1]
 

@@ -104,8 +104,8 @@ def test_census_cross_check_catches_any_misclassified_difference(monkeypatch):
     for p in (7, 13, 29):
         pairs = list(itertools.combinations(sorted({x * x % p for x in range(p)}), 2))
         for d in sorted({t - s for s, t in pairs}):
-            def flipped(pv, shift, d=d):
-                rows = real(pv, shift)
+            def flipped(pv, d=d):
+                rows = [row for row in real(pv) if row[0]]  # no d = 0 row
                 kept = [row for row in rows if row[0] != d]
                 # a disjoint d becomes tangent; any other becomes disjoint
                 return kept + [(d, 0, 0)] if len(kept) == len(rows) else kept

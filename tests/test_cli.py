@@ -138,8 +138,9 @@ def test_linear_witness_matches_loop_oracle(tmp_path, capsys):
         violations += 1
         path = tmp_path / "h.hg3"
         path.write_text(encode(h))
-        assert cli.main(["verify", "--in", str(path), "--checks", "linear"]) == 1
-        assert json.loads(capsys.readouterr().out)["witness"] == expected, i
+        for checks in (["--checks", "linear"], [], ["--checks", "linear,gridfree"]):
+            assert cli.main(["verify", "--in", str(path), *checks]) == 1
+            assert json.loads(capsys.readouterr().out)["witness"] == expected, (i, checks)
     assert violations >= 40
 
 

@@ -338,11 +338,13 @@ def _traced_peak(fn, *args):
 
 # Traced peaks at p = 1009 (base m = 254,268), measured with Python 3.11:
 # streamed with --out, then as the whole-hypergraph route took them.
-# Counting the stream without --out peaks at 0.7, 3.6 and 0.5 MiB.
+# Counting the stream without --out peaks at 0.6, 0.5 and 0.5 MiB.  qr
+# peaked at 3.7 MiB with --out and 3.6 MiB without while it regrouped a
+# second table's rows in per-S buckets, before it read its rows off V1's.
 CONSTRUCT_BUDGETS = [
     ("base", None, 4),      # 1.1 MiB; 32.1 MiB building and encoding
-    ("qr", None, 8),        # 3.8 MiB; 35.6 MiB
-    ("random", (1, 2), 4),  # 0.8 MiB; 24.1 MiB
+    ("qr", None, 2),        # 0.7 MiB; 35.6 MiB
+    ("random", (1, 2), 4),  # 0.7 MiB; 24.1 MiB
 ]
 
 
