@@ -19,10 +19,13 @@ lookups, about m * d^2 of them for m edges of degree at most d on a
 linear host.  It certifies base p = 101 (m = 2525) grid-free in seconds.
 
 The searches are exhaustive and return deterministic, lexicographically
-least witnesses.  find_small_two_core stays exponential in principle.
-Each search and two_core first relabels the covered vertices in ascending
-order, so per-vertex tables and bit masks follow the edges, not the vertex
-count a file's header declares.
+least witnesses.  find_small_two_core stays exponential in principle: its
+depth-first search holds three bit masks (covered once or more, covered
+twice or more, covered by later edges) and visits each edge subset
+spanning at most max_vertices vertices at most once.  Each search and
+two_core first relabels the covered vertices in ascending order, so
+per-vertex tables and bit masks follow the edges, not the vertex count a
+file's header declares.
 """
 
 from __future__ import annotations
@@ -287,6 +290,14 @@ def find_small_two_core(h: Hypergraph3, max_vertices: int = 9) -> CoreWitness | 
     degree >= 2.  Returns the lexicographically least witness (by sorted
     edge indices) or None.
 
+    Each frame holds two masks over the covered vertices: union, covered by
+    the chosen edges, and twice, covered at least twice.  The subset is a
+    core when union & ~twice is empty, and a branch goes on only while
+    every vertex covered once lies in later[ei + 1], the vertices of the
+    edges after ei.  Each subset spanning at most max_vertices vertices is
+    visited at most once and scans the edges after its last one, so the
+    worst case is m times the number of such subsets.
+
     max_vertices must lie in [4, 10]; the search is exponential in
     principle and intended for small instances only.
     """
@@ -295,41 +306,25 @@ def find_small_two_core(h: Hypergraph3, max_vertices: int = 9) -> CoreWitness | 
     edges = _covered(h).edges  # vertex ranks: masks stay under 3m bits
     m = len(edges)
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in edges]
-    # Highest edge index covering each vertex: lets the search drop any
-    # branch whose degree-1 vertex can never be healed by a later edge.
-    last_with: dict[int, int] = {}
-    for ei, e in enumerate(edges):
-        for v in e:
-            last_with[v] = ei
-    deg: dict[int, int] = {}
-    chosen: list[int] = []
+    later = [0] * (m + 1)
+    for ei in range(m - 1, -1, -1):
+        later[ei] = later[ei + 1] | masks[ei]
+    chosen: list[int] = []  # filled deepest edge first on success
 
-    def dfs(last: int, union: int, nverts: int) -> bool:
-        for ei in range(last + 1, m):
-            new_union = union | masks[ei]
-            if new_union == union:
-                nv = nverts
-            else:
-                nv = new_union.bit_count()
-                if nv > max_vertices:
-                    continue
-            chosen.append(ei)
-            for v in edges[ei]:
-                deg[v] = deg.get(v, 0) + 1
-            if all(d >= 2 for d in deg.values()):
+    def dfs(first: int, union: int, twice: int) -> bool:
+        for ei in range(first, m):
+            mask = masks[ei]
+            grown = union | mask
+            if grown != union and grown.bit_count() > max_vertices:
+                continue
+            more = twice | (union & mask)
+            once = grown & ~more
+            if not once or (not (once & ~later[ei + 1])
+                            and dfs(ei + 1, grown, more)):
+                chosen.append(ei)
                 return True
-            fixable = all(
-                d >= 2 or last_with[v] > ei for v, d in deg.items()
-            )
-            if fixable and dfs(ei, new_union, nv):
-                return True
-            for v in edges[ei]:
-                deg[v] -= 1
-                if deg[v] == 0:
-                    del deg[v]
-            chosen.pop()
         return False
 
-    if dfs(-1, 0, 0):
+    if dfs(0, 0, 0):
         return _core_witness(h, tuple(chosen))
     return None

@@ -11,18 +11,18 @@ lexicographically with no duplicates, and isolated vertices are first-class
     a b c        (m lines, each ascending, list sorted, trailing newline)
 
 Streams of edges travel as column chunks (firsts, seconds, thirds), and
-one check, _canonical_chunk, holds each chunk to these rules; the
-constructor runs it over its edges a chunk at a time once they are
-triples of ints.  Only _reject walks edges one by one, to name the first
-offender.  One formatter writes edge lines from a table of id strings,
-so each id is converted once: encode runs it over a hypergraph's edges a
-chunk at a time, and write_edges over a construction's column chunks
-into a file, without any Hypergraph3.  One reader, _read, takes decode's
-text, or a file for file_linear_witness, a chunk of whole lines at a
-time.  A body chunk in encode's exact form is parsed by deleting its
-digits, with one int shared per distinct id; only a chunk that this or
-the canonical check refuses goes to the line checker, which reads
-lenient lines and names the first offending one.
+one check, _canonical_chunk, holds each chunk to these rules.  The
+constructor checks its own edges with one walk, _check_edges, which
+names the first offender; a chunk that _canonical_chunk refuses goes to
+the same walk for its message.  One formatter writes edge lines from a
+table of id strings, so each id is converted once: encode runs it over a
+hypergraph's edges a chunk at a time, and write_edges over a
+construction's column chunks into a file, without any Hypergraph3.  One
+reader, _read, takes decode's text, or a file for file_linear_witness, a
+chunk of whole lines at a time.  A body chunk in encode's exact form is
+parsed by deleting its digits, with one int shared per distinct id; only
+a chunk that this or the canonical check refuses goes to the line
+checker, which reads lenient lines and names the first offending one.
 Linearity (every vertex pair in at most one edge) is checked in O(m) by
 one owner-list walk over edges in canonical order: a pair is owned by its
 smaller vertex, whose list is complete, checked and freed when that
@@ -95,11 +95,7 @@ class Hypergraph3(Record):
             raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
         edges = tuple(map(tuple, self.edges))
         object.__setattr__(self, "edges", edges)
-        if set(map(len, edges)) - {3} or not all(
-                type(a) is type(b) is type(c) is int for a, b, c in edges):
-            _reject(n, edges)
-        for _ in _checked_chunks(n, _edge_chunks(edges)):
-            pass
+        _check_edges(n, edges)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Hypergraph3":
@@ -119,11 +115,11 @@ class Hypergraph3(Record):
         return len(self.edges)
 
 
-def _reject(n: int, edges) -> None:
-    """Raise the ValueError naming the first edge that is not a triple of
-    ints, not strictly ascending, out of range for n vertices, or not above
-    its predecessor."""
-    prev = None
+def _check_edges(n: int, edges) -> None:
+    """Check edges against the constructor's rules: raise the ValueError
+    naming the first edge that is not a triple of ints, not strictly
+    ascending, out of range for n vertices, or not above its predecessor."""
+    prev = (-1, -1, -1)  # below every edge with ids in range
     for e in edges:
         if len(e) != 3:
             raise ValueError(f"edge {e!r} is not a triple")
@@ -134,7 +130,7 @@ def _reject(n: int, edges) -> None:
             raise ValueError(f"edge {e!r} is not strictly ascending")
         if a < 0 or c >= n:
             raise ValueError(f"edge {e!r} out of range for n={n}")
-        if prev is not None and e <= prev:
+        if e <= prev:
             raise ValueError(f"edge list not sorted or has duplicates at {e!r}")
         prev = e
 
@@ -357,13 +353,13 @@ def _checked_chunks(n: int, chunks):
     """The non-empty column chunks (firsts, seconds, thirds) of chunks,
     each checked by _canonical_chunk against the constructor's rules for a
     hypergraph on n vertices; a chunk out of canonical form raises
-    _reject's ValueError naming the first offending edge."""
+    _check_edges's ValueError naming the first offending edge."""
     prev = None
     for firsts, seconds, thirds in chunks:
         if not firsts:
             continue
         if not _canonical_chunk(firsts, seconds, thirds, prev, n):
-            _reject(n, [*([prev] if prev else ()), *zip(firsts, seconds, thirds)])
+            _check_edges(n, [*([prev] if prev else ()), *zip(firsts, seconds, thirds)])
         yield firsts, seconds, thirds
         prev = firsts[-1], seconds[-1], thirds[-1]
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -561,6 +562,21 @@ def prism_by_embedding(h: Hypergraph3) -> tuple[int, ...] | None:
 
     place(0)
     return best[0]
+
+
+def small_two_core_by_subsets(h: Hypergraph3, max_vertices: int) -> tuple[int, ...] | None:
+    """The least sorted edge-index tuple over every non-empty edge subset
+    spanning at most max_vertices vertices in which every covered vertex
+    has degree >= 2, or None.  Tuples compare as a depth-first search
+    visits them: a prefix comes before its extensions."""
+    best = None
+    for r in range(1, h.m + 1):
+        for combo in itertools.combinations(range(h.m), r):
+            deg = Counter(v for i in combo for v in h.edges[i])
+            if len(deg) <= max_vertices and min(deg.values()) >= 2:
+                if best is None or combo < best:
+                    best = combo
+    return best
 
 
 def random_hypergraph(rng: random.Random, n: int, m: int) -> Hypergraph3:

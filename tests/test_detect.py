@@ -287,6 +287,30 @@ def test_padding_with_isolated_vertices_keeps_every_witness():
         assert two_core(padded) == two_core(h), i
 
 
+def test_small_two_core_agrees_with_subset_oracle():
+    found = missed = 0
+    for i in range(36):
+        rng = random.Random(11000 + i)
+        if i % 3 == 0:
+            h = oracles.random_hypergraph(rng, rng.randint(6, 10), rng.randint(3, 12))
+        elif i % 3 == 1:
+            h = oracles.random_linear_hypergraph(rng, rng.randint(7, 12), rng.randint(3, 12))
+        else:
+            h = oracles.plant_prism(rng, n_extra=rng.randint(0, 4), m_extra=rng.randint(0, 6))
+        assert h.m <= 12, i
+        padded, _ = _padded(h, rng)
+        for budget in range(4, 11):
+            got = find_small_two_core(padded, budget)
+            assert (None if got is None else got.edges) == \
+                oracles.small_two_core_by_subsets(h, budget), (i, budget)
+            if got is None:
+                missed += 1
+            else:
+                got.validate(padded, budget)
+                found += 1
+    assert min(found, missed) >= 50, (found, missed)
+
+
 @pytest.mark.parametrize("text", ["1000000 1\n0 1 999999\n", "300000 0\n"])
 def test_default_verify_memory_ignores_the_header_vertex_count(tmp_path, capsys, text):
     from gridfree import cli

@@ -33,7 +33,7 @@ def base1009():
     return build_base(1009)
 
 
-def test_constructor_validates_edges():
+def test_constructor_validates_edges(base1009):
     with pytest.raises(ValueError):
         Hypergraph3(3, ((0, 2, 1),))  # not ascending within the edge
     with pytest.raises(ValueError):
@@ -49,6 +49,22 @@ def test_constructor_validates_edges():
         with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} ")):
             Hypergraph3(4, (edge,))
     assert Hypergraph3(0, ()).m == 0
+    # mutations past the first 4,096 edges of base p = 1009
+    h, _, _ = base1009
+    edges, i = list(h.edges), 5000
+    assert h.n == 2018 and edges[i:i + 2] == [(10, 15, 1347), (10, 16, 1153)]
+    for bad, message in (
+        (edges[:i] + edges[i + 1:i + 2] + edges[i:i + 1] + edges[i + 2:],
+         "edge list not sorted or has duplicates at (10, 15, 1347)"),
+        (edges[:i + 1] + edges[i:],
+         "edge list not sorted or has duplicates at (10, 15, 1347)"),
+        (edges[:i] + [(10, 15.0, 1347)] + edges[i + 1:],
+         "edge (10, 15.0, 1347) has a vertex id that is not an int"),
+        (edges[:i] + [(10, 15, 2018)] + edges[i + 1:],
+         "edge (10, 15, 2018) out of range for n=2018"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Hypergraph3(h.n, bad)
 
 
 def test_from_edges_canonicalizes_but_rejects_duplicates():
