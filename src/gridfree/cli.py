@@ -199,6 +199,9 @@ def cmd_construct(args) -> int:
         print(f"--out {args.out}: names ending in .report.json are kept for the report",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.out is not None and Path(args.out).name in ("", ".."):
+        print(f"--out {args.out!r}: the path names no file", file=sys.stderr)
+        return EXIT_USAGE
 
     params = (args.p,)
     if args.kind == "random":

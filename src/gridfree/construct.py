@@ -40,15 +40,11 @@ from .record import Record
 from .rng import bernoulli_threshold, splitmix64_stream
 
 __all__ = [
-    "SELECTION_RULE",
-    "GENERATOR",
     "ConstructionReport",
     "build_base",
     "build_random",
     "build_qr",
-    "construction",
     "count_two_point_secants",
-    "select_subset",
     "density_ratio",
 ]
 

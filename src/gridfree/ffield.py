@@ -10,7 +10,6 @@ from __future__ import annotations
 
 __all__ = [
     "InvalidPrimeError",
-    "is_prime",
     "check_prime",
     "legendre",
     "chi_table",

@@ -21,7 +21,6 @@ __all__ = [
     "secant_line",
     "line_parabola_intersections",
     "pascal_collinear",
-    "pascal_meets_residues",
 ]
 
 

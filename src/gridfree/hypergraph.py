@@ -51,19 +51,14 @@ __all__ = [
     "Hypergraph3",
     "VertexInfo",
     "VertexMap",
-    "ORIGINS",
     "is_linear",
     "linear_witness",
     "density",
     "degrees",
     "min_degree",
     "encode",
-    "encode_head",
-    "write_edges",
-    "count_edges",
     "decode",
     "decode_with_provenance",
-    "file_linear_witness",
 ]
 
 ORIGINS = ("V1", "V2", "S-of-V1", "S-of-V2")

@@ -16,16 +16,13 @@ from math import ceil, comb
 from .record import Record
 
 __all__ = [
-    "EXHAUSTIVE_LIMIT",
     "LemmaInstance",
-    "CoverageResult",
     "expected_coverage",
     "half_family_expectation",
     "lemma_bound",
     "coverage",
     "best_subset",
     "delta_check",
-    "analyze",
 ]
 
 # Largest N for which best_subset enumerates all C(N, k) subsets.
@@ -60,16 +57,6 @@ class LemmaInstance(Record):
         if not 0 <= self.k <= self.N:
             raise ValueError(f"k must lie in [0, N], got {self.k}")
         object.__setattr__(self, "H", _norm_pairs(self.N, self.H))
-
-
-class CoverageResult(Record):
-    """Exact expectation, its ceiling bound, the optional exhaustive
-    maximizer, and the normalized ceiling gap."""
-
-    expectation: Fraction
-    bound: int
-    best: tuple[tuple[int, ...], int] | None
-    delta: Fraction
 
 
 def expected_coverage(N: int, k: int, H) -> Fraction:
@@ -147,21 +134,3 @@ def delta_check(N: int) -> tuple[Fraction, bool]:
     delta = (ceil(expectation) - expectation) / (N + N // 2) ** 2
     return delta, delta <= Fraction(4, 9 * N * N)
 
-
-def analyze(N: int, k: int | None = None, H=(), find_best: bool | None = None) -> CoverageResult:
-    """Bundle expectation, bound, optional exhaustive best subset, and the
-    ceiling gap for one instance.  find_best defaults to exhaustive search
-    whenever N allows it."""
-    if k is None:
-        k = N // 2
-    expectation = expected_coverage(N, k, H)
-    if find_best is None:
-        find_best = N <= EXHAUSTIVE_LIMIT
-    best = best_subset(N, k, H) if find_best else None
-    delta, _ = delta_check(N)
-    return CoverageResult(
-        expectation=expectation,
-        bound=lemma_bound(N),
-        best=best,
-        delta=delta,
-    )

@@ -191,6 +191,7 @@ USAGE_ERRORS = [
     ("detect", "--in", "nosuch.hg3", "--find", "grid"),
     ("nonsense",),
     ("pascal", "--p", "13", "--samples", "-5"),
+    *(("construct", "qr", "--p", "7", "--out", name) for name in ("", ".", "..", "/", "x/..")),
 ]
 
 
@@ -199,6 +200,8 @@ def test_usage_errors_exit_two(args, tmp_path):
     proc = run(args, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_check_and_bad_max_vertices(tmp_path):
@@ -409,6 +412,22 @@ def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
     cli = _loaded_modules("import gridfree.cli", tmp_path)
     assert "gridfree.cli" in cli and "gridfree.geometry" in cli
     assert {"dataclasses", "inspect"} & (cli - bare) == set()
+
+
+def test_package_exports_each_module_name_once():
+    # gridfree/__init__.py joins the modules' __all__ lists; a name listed by
+    # two modules would bind only the later module's object.
+    import gridfree
+
+    assert len(gridfree.__all__) == len(set(gridfree.__all__))
+    listed = {"__version__"}
+    for mod_name in ("ffield", "geometry", "hypergraph", "construct", "detect", "lemma",
+                     "charsum"):
+        module = sys.modules[f"gridfree.{mod_name}"]
+        for name in module.__all__:
+            assert getattr(gridfree, name) is getattr(module, name), f"{mod_name}.{name}"
+        listed.update(module.__all__)
+    assert listed == set(gridfree.__all__)
 
 
 def test_benchmark_traced_names_resolve():

@@ -8,7 +8,6 @@ import pytest
 import oracles
 from gridfree import (
     LemmaInstance,
-    analyze,
     best_subset,
     coverage,
     delta_check,
@@ -138,14 +137,3 @@ def test_coverage_counts_hits():
     assert coverage((0,), fam) == 1
     assert coverage((1, 3), fam) == 3
     assert coverage(range(4), fam) == 3
-
-
-def test_analyze_bundles_the_pieces():
-    fam = ((0, 1), (2, 3), (0, 2))
-    res = analyze(4, H=fam)
-    assert res.expectation == expected_coverage(4, 2, fam)
-    assert res.bound == lemma_bound(4)
-    assert res.best == best_subset(4, 2, fam)
-    assert res.delta == delta_check(4)[0]
-    assert analyze(4, H=fam, find_best=False).best is None
-    assert analyze(20, H=fam).best is None

@@ -3,7 +3,6 @@
 import dataclasses
 import importlib
 import pkgutil
-from fractions import Fraction
 
 import pytest
 
@@ -11,7 +10,6 @@ import gridfree
 from gridfree import (
     ConstructionReport,
     CoreWitness,
-    CoverageResult,
     GridWitness,
     Hypergraph3,
     LemmaInstance,
@@ -34,8 +32,6 @@ SAMPLES = [
     GridWitness((0, 4, 5), (1, 2, 3), tuple(range(9))),
     CoreWitness((0, 1), (0, 1, 2), (2, 2, 2)),
     LemmaInstance(4, 2, [(3, 2), (0, 1)]),
-    CoverageResult(Fraction(5, 2), 3, ((0, 1), 3), Fraction(1, 36)),
-    CoverageResult(Fraction(5, 2), 3, None, Fraction(1, 36)),
     secant_census(13),
     reciprocity_check(11),
 ]
