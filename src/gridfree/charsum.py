@@ -95,18 +95,6 @@ class SecantCensus(Record):
         if self.matches != (self.n_total == self.closed_form):
             raise ValueError("matches flag is inconsistent")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "s_size": self.s_size,
-            "pair_count": self.pair_count,
-            "n_two": self.n_two,
-            "n_tangent": self.n_tangent,
-            "n_total": self.n_total,
-            "closed_form": self.closed_form,
-            "matches": self.matches,
-        }
-
 
 def secant_census(p: int) -> SecantCensus:
     """Count distinct lines through two points of S that meet y = x^2 + 1.

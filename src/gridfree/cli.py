@@ -10,11 +10,13 @@ Each command runs with the cyclic garbage collector paused.
 `construct` never holds a hypergraph.  It counts the construction's edge
 chunks as the sweep yields them; with `--out` it writes them to a
 temporary file and copies them behind the header once the report has
-validated their count.  `verify` checks linearity by reading the file
-with the codec's one reader, a chunk of whole lines at a time (twice
-when it must name a witness), and decodes the whole file only for the
-other checks; every file, irregular or unreadable, is reported as decode
-on its whole text would report it.
+validated their count.  `verify` runs the requested checks in order.  It
+checks linearity by reading the file with the codec's one reader, a
+chunk of whole lines at a time (twice when it must name a witness), and
+decodes the whole file only when it reaches the first detector check, so
+a failed linearity check ahead of the detectors never decodes it.  Every
+file, irregular or unreadable, is reported as decode on its whole text
+would report it.
 """
 
 from __future__ import annotations
@@ -249,25 +251,25 @@ def cmd_verify(args) -> int:
         if name not in CHECK_NAMES:
             print(f"unknown check {name!r}; pick from {', '.join(CHECK_NAMES)}", file=sys.stderr)
             return EXIT_USAGE
-    detectors = set(requested) != {"linear"}
-    try:
-        repeat = file_linear_witness(args.infile) if "linear" in requested else None
-        h = decode(Path(args.infile).read_text(encoding="utf-8")) if detectors else None
-    except (OSError, UnicodeDecodeError) as exc:
-        return _cannot_read(args.infile, exc)
     manifest = _manifest(
         command="verify",
         parameters={"checks": requested},
         inputs=[args.infile],
     )
+    h = None  # decoded when the first detector is reached
     for name in requested:
-        if name == "linear":
-            found = repeat
-        elif name == "gridfree":
+        try:
+            if name == "linear":
+                found = file_linear_witness(args.infile)
+            elif h is None:
+                h = decode(Path(args.infile).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            return _cannot_read(args.infile, exc)
+        if name == "gridfree":
             found = find_grid(h)
         elif name == "prismfree":
             found = find_prism(h)
-        else:
+        elif name == "corefree9":
             found = find_small_two_core(h, 9)
         if found is not None:
             if name == "linear":

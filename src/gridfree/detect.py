@@ -79,13 +79,6 @@ class GridWitness(Record):
         if tuple(sorted(cover)) != self.vertices:
             raise ValueError("vertex list does not match the covered set")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": list(self.rows),
-            "cols": list(self.cols),
-            "vertices": list(self.vertices),
-        }
-
 
 class CoreWitness(Record):
     """An edge subset in which every covered vertex has degree >= 2.
@@ -112,13 +105,6 @@ class CoreWitness(Record):
             raise ValueError("a covered vertex has degree < 2")
         if max_vertices is not None and len(self.vertices) > max_vertices:
             raise ValueError("witness exceeds the vertex budget")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "edges": list(self.edges),
-            "vertices": list(self.vertices),
-            "degrees": list(self.degrees),
-        }
 
 
 def _covered(h: Hypergraph3) -> Hypergraph3:

@@ -24,10 +24,12 @@ parsed by deleting its digits, with one int shared per distinct id; only
 a chunk that this or the canonical check refuses goes to the line
 checker, which reads lenient lines and names the first offending one.
 Linearity (every vertex pair in at most one edge) is checked in O(m) by
-one owner-list walk over edges in canonical order: a pair is owned by its
-smaller vertex, whose list is complete, checked and freed when that
-vertex's run of edges ends.  is_linear, linear_witness and
-file_linear_witness all run it.
+one owner-list walk over edges in canonical order, _repeats: a pair is
+owned by its smaller vertex, whose list is complete, checked and freed
+when that vertex's run of edges ends, and only the partners an owner
+lists twice are kept.  is_linear, linear_witness and file_linear_witness
+all run it; the two witness functions then, only when it found a repeat,
+scan the edges once more in index order for the first pair seen twice.
 Hypergraphs are one tuple per edge with no reference cycles, so the CLI
 runs each command with the cyclic garbage collector paused and reference
 counting frees them.  Densities are exact rationals.
@@ -38,7 +40,7 @@ as residues in [0, p).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import chain, islice
 from operator import itemgetter, lt
@@ -139,7 +141,7 @@ def _edge_chunks(edges):
         yield tuple(list(map(column, chunk)) for column in columns)
 
 
-def _owner_lists(chunks, indexed: bool):
+def _owner_lists(chunks):
     """Each vertex x that shares an edge with some y > x, as (x, partners),
     from edges read in canonical order as column chunks.
 
@@ -149,24 +151,15 @@ def _owner_lists(chunks, indexed: bool):
     their first vertex a come in one run, and every edge giving b a
     partner comes before b's run, so a list is yielded, and freed, when
     its owner's run ends; only the partners given to b wait in per-vertex
-    lists.  With indexed, each partner is followed by the code 3i + r of
-    the pair: i the index of its edge and r its rank there, 0 for (a, b),
-    1 for (a, c) and 2 for (b, c).
+    lists.
     """
     waiting = defaultdict(list)
     owner = None
     listed = []
-    start = 0
     for firsts, seconds, thirds in chunks:
-        k = len(firsts)
-        codes = range(3 * start, 3 * (start + k), 3)
-        if indexed:
-            for b, c, code in zip(seconds, thirds, codes):
-                waiting[b] += c, code + 2
-        else:
-            for b, c in zip(seconds, thirds):
-                waiting[b].append(c)
-        i = 0
+        for b, c in zip(seconds, thirds):
+            waiting[b].append(c)
+        i, k = 0, len(firsts)
         while i < k:
             x = firsts[i]
             j = bisect_right(firsts, x, i)
@@ -174,43 +167,46 @@ def _owner_lists(chunks, indexed: bool):
                 if listed:
                     yield owner, listed
                 owner, listed = x, waiting.pop(x, [])
-            if indexed:
-                listed += chain.from_iterable(zip(seconds[i:j], codes[i:j], thirds[i:j],
-                                                  range(codes[i] + 1, codes[j - 1] + 2, 3)))
-            else:
-                listed += seconds[i:j]
-                listed += thirds[i:j]
+            listed += seconds[i:j]
+            listed += thirds[i:j]
             i = j
-        start += k
     if listed:
         yield owner, listed
     yield from waiting.items()
 
 
-def _first_repeat(chunks) -> tuple[tuple[int, int], int, int] | None:
-    """linear_witness of the edges read from column chunks."""
-    best = None  # (code of the repeat, owner, partner, code of the first holder)
-    for x, listed in _owner_lists(chunks, True):
-        partners = listed[0::2]
-        if len(set(partners)) == len(partners):
-            continue
-        first = {}
-        for code, y in sorted(zip(listed[1::2], partners)):
-            if y in first:  # the owner's earliest repeat
-                if best is None or code < best[0]:
-                    best = code, x, y, first[y]
-                break
-            first[y] = code
-    if best is None:
-        return None
-    code, x, y, first_code = best
-    return (x, y), first_code // 3, code // 3
+def _repeats(chunks) -> dict[int, set[int]]:
+    """Each owner (see _owner_lists) that lists some partner twice, mapped
+    to the set of those partners: empty exactly when the edges of the
+    column chunks are linear."""
+    repeats = {}
+    for x, listed in _owner_lists(chunks):
+        if len(set(listed)) != len(listed):
+            repeats[x] = {y for y, k in Counter(listed).items() if k > 1}
+    return repeats
+
+
+def _first_repeat(chunks, repeats) -> tuple[tuple[int, int], int, int] | None:
+    """linear_witness of the edges read from column chunks, whose _repeats
+    are repeats: one scan in edge-index order that remembers where each
+    repeated pair first occurs and stops at the first one seen twice.  An
+    edge (a, b, c) owns its pairs by a or b, so one with neither among the
+    owners of repeats is skipped."""
+    first = {}
+    edges = chain.from_iterable(zip(*columns) for columns in chunks)
+    for i, (a, b, c) in enumerate(edges):
+        if a in repeats or b in repeats:
+            for pair in (a, b), (a, c), (b, c):
+                if pair[1] in repeats.get(pair[0], ()):
+                    if pair in first:
+                        return pair, first[pair], i
+                    first[pair] = i
+    return None
 
 
 def is_linear(h: Hypergraph3) -> bool:
     """True when every vertex pair lies in at most one edge (O(m))."""
-    return all(len(set(listed)) == len(listed)
-               for _, listed in _owner_lists(_edge_chunks(h.edges), False))
+    return not _repeats(_edge_chunks(h.edges))
 
 
 def linear_witness(h: Hypergraph3) -> tuple[tuple[int, int], int, int] | None:
@@ -218,7 +214,8 @@ def linear_witness(h: Hypergraph3) -> tuple[tuple[int, int], int, int] | None:
     of the earlier edge holding it and the edge that repeats it; None when
     h is linear.  Within one edge (a, b, c) the pairs count in the order
     (a, b), (a, c), (b, c)."""
-    return _first_repeat(_edge_chunks(h.edges))
+    repeats = _repeats(_edge_chunks(h.edges))
+    return _first_repeat(_edge_chunks(h.edges), repeats) if repeats else None
 
 
 def density(h: Hypergraph3) -> Fraction:
@@ -638,7 +635,5 @@ def file_linear_witness(path) -> tuple[tuple[int, int], int, int] | None:
     is read as decode reads it and raises the same FormatError; a file that
     cannot be read raises OSError, and one that is not UTF-8
     UnicodeDecodeError."""
-    if all(len(set(listed)) == len(listed)
-           for _, listed in _owner_lists(_file_edges(path), False)):
-        return None
-    return _first_repeat(_file_edges(path))
+    repeats = _repeats(_file_edges(path))
+    return _first_repeat(_file_edges(path), repeats) if repeats else None

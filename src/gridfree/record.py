@@ -4,7 +4,8 @@ A subclass names its fields in its own class annotations, in order.  The
 constructor binds them positionally or by keyword and runs __post_init__;
 then any assignment or deletion raises AttributeError.  Equality compares
 field tuples within one class, the hash is the field tuple's, and the repr
-is Name(field=value, ...).  Unlike dataclasses, this costs a CLI start no
+is Name(field=value, ...).  to_json_dict gives the fields by name in
+order, each tuple as a list.  Unlike dataclasses, this costs a CLI start no
 import of inspect and no exec of generated methods.
 """
 
@@ -38,6 +39,10 @@ class Record:
     def _astuple(self) -> tuple:
         d = self.__dict__
         return tuple([d[f] for f in self._fields])
+
+    def to_json_dict(self) -> dict:
+        d = self.__dict__
+        return {f: list(d[f]) if isinstance(d[f], tuple) else d[f] for f in self._fields}
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

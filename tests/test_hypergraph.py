@@ -154,16 +154,29 @@ def test_linearity_checks_do_not_depend_on_chunk_sizes(monkeypatch, edges_per_ch
         assert _witness_json(h) == oracles.linear_witness_by_loop(h)
 
 
+def _planted_repeats(h, owners):
+    """h with one edge (x, y, v) added for each owner x, v a new vertex and
+    {x, y} the pair x owns last in h, so that each owner repeats a pair."""
+    partner = {}
+    for a, b, c in h.edges:
+        partner[a], partner[b] = b, c
+    added = [(x, partner[x], h.n + k) for k, x in enumerate(owners)]
+    return Hypergraph3.from_edges(h.n + len(added), h.edges + tuple(added))
+
+
 def test_linear_witness_memory_with_a_repeat_past_the_first_chunk(base1009):
     h, _, _ = base1009
     a, b, c = h.edges[3 * h.m // 4]
-    bad = Hypergraph3.from_edges(h.n + 1, h.edges + ((a, c, h.n),))
-    found, peak = _traced_peak(linear_witness, bad)
-    assert {"pair": list(found[0]), "edges": list(found[1:])} == \
-        oracles.linear_witness_by_loop(bad)
-    assert found[1] > hypergraph._CHUNK_EDGES
-    # 6.5 MiB traced with owner lists; 55.6 MiB with a dict of pair tuples
-    assert peak <= 12 << 20, peak
+    one = Hypergraph3.from_edges(h.n + 1, h.edges + ((a, c, h.n),))
+    for bad in one, _planted_repeats(h, range(505, 1009)):
+        found, peak = _traced_peak(linear_witness, bad)
+        assert {"pair": list(found[0]), "edges": list(found[1:])} == \
+            oracles.linear_witness_by_loop(bad)
+        assert found[1] > hypergraph._CHUNK_EDGES
+        # 1.4 MiB traced with the partner sets of the repeating owners; 6.4 MiB
+        # on both hosts with edge codes in every owner list, 55.6 MiB with a
+        # dict of pair tuples
+        assert peak <= 4 << 20, peak
 
 
 def test_density_and_degrees():
