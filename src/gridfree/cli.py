@@ -63,6 +63,17 @@ EXIT_USAGE = 2
 
 CHECK_NAMES = ("linear", "gridfree", "prismfree", "corefree9")
 
+# Work budgets: the largest value of each flag whose work grows without
+# bound, refused at parse time with the usage exit code, so that no
+# invocation runs for hours.  Each lies well above every golden, benchmark
+# and CI input.  construct at p writes about p^2/4 edges (p = 10,007 takes
+# under a minute); census at p and lemma at N cost about p^2 and N^2 each,
+# so the ranges 5..2000 and 2..500 take under a minute too.
+MAX_CONSTRUCT_P = 20_000
+MAX_CENSUS_P = 2_000
+MAX_LEMMA_N = 500
+MAX_PASCAL_SAMPLES = 1_000_000
+
 
 def _print_json(obj, pretty: bool) -> None:
     if pretty:
@@ -92,9 +103,16 @@ def _as_int(text: str, error: str) -> int:
         raise argparse.ArgumentTypeError(error) from None
 
 
-def _prime_at_least(minimum: int):
+def _within_budget(value: int, budget: int | None) -> int:
+    """value, or an ArgumentTypeError naming the work budget it exceeds."""
+    if budget is not None and value > budget:
+        raise argparse.ArgumentTypeError(f"{value} exceeds the work budget of {budget}")
+    return value
+
+
+def _prime_at_least(minimum: int, budget: int | None = None):
     def parse(text: str) -> int:
-        value = _as_int(text, f"{text!r} is not an integer")
+        value = _within_budget(_as_int(text, f"{text!r} is not an integer"), budget)
         try:
             return check_prime(value, minimum)
         except InvalidPrimeError as exc:
@@ -113,14 +131,14 @@ def _rho(text: str) -> Fraction:
     return value
 
 
-def _int_between(minimum: int, maximum: int | None = None):
+def _int_between(minimum: int, maximum: int | None = None, budget: int | None = None):
     def parse(text: str) -> int:
         value = _as_int(text, f"{text!r} is not an integer")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         if maximum is not None and value > maximum:
             raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
-        return value
+        return _within_budget(value, budget)
 
     return parse
 
@@ -174,7 +192,7 @@ def _write_instance(path: Path, vmap, chunks, report):
     return validated
 
 
-def _int_range(minimum: int):
+def _int_range(minimum: int, budget: int):
     def parse(text: str) -> tuple[int, int]:
         lo, sep, hi = text.partition("..")
         error = f"{text!r} is not N or LO..HI"
@@ -184,7 +202,7 @@ def _int_range(minimum: int):
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
         if lo_v < minimum:
             raise argparse.ArgumentTypeError(f"range must start at {minimum} or above")
-        return lo_v, hi_v
+        return lo_v, _within_budget(hi_v, budget)
 
     return parse
 
@@ -444,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_con = sub.add_parser("construct", help="build an instance and its report")
     p_con.add_argument("kind", choices=("base", "random", "qr"))
-    p_con.add_argument("--p", type=_prime_at_least(5), required=True)
+    p_con.add_argument("--p", type=_prime_at_least(5, MAX_CONSTRUCT_P), required=True,
+                       help="an odd prime, 5 to %d (work budget)" % MAX_CONSTRUCT_P)
     p_con.add_argument("--rho", type=_rho, default=None, help="inclusion probability num/den")
     p_con.add_argument("--seed", type=_seed, default=None)
     p_con.add_argument("--out", default=None, help="write .hg3 here plus a sibling .report.json")
@@ -462,19 +481,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_cen = sub.add_parser("census", help="secant census and character-sum audit")
-    p_cen.add_argument("--p", type=_int_range(3), required=True, metavar="LO..HI")
+    p_cen.add_argument("--p", type=_int_range(3, MAX_CENSUS_P), required=True,
+                       metavar="LO..HI", help="HI at most %d (work budget)" % MAX_CENSUS_P)
     p_cen.add_argument("--pretty", action="store_true")
     p_cen.set_defaults(func=cmd_census)
 
     p_lem = sub.add_parser("lemma", help="coverage expectations and bounds")
-    p_lem.add_argument("--N", type=_int_range(2), required=True, metavar="LO..HI")
+    p_lem.add_argument("--N", type=_int_range(2, MAX_LEMMA_N), required=True,
+                       metavar="LO..HI", help="HI at most %d (work budget)" % MAX_LEMMA_N)
     p_lem.add_argument("--seed", type=_seed, default=0)
     p_lem.add_argument("--pretty", action="store_true")
     p_lem.set_defaults(func=cmd_lemma)
 
     p_pas = sub.add_parser("pascal", help="random hexagon collinearity audit")
     p_pas.add_argument("--p", type=_prime_at_least(7), required=True)
-    p_pas.add_argument("--samples", type=_int_between(1), default=1000)
+    p_pas.add_argument("--samples", type=_int_between(1, budget=MAX_PASCAL_SAMPLES),
+                       default=1000, help="at most %d (work budget)" % MAX_PASCAL_SAMPLES)
     p_pas.add_argument("--seed", type=_seed, default=0)
     p_pas.add_argument("--pretty", action="store_true")
     p_pas.set_defaults(func=cmd_pascal)

@@ -11,25 +11,31 @@ lexicographically with no duplicates, and isolated vertices are first-class
     a b c        (m lines, each ascending, list sorted, trailing newline)
 
 Streams of edges travel as column chunks (firsts, seconds, thirds), and
-one check, _canonical_chunk, holds each chunk to these rules.  The
-constructor checks its own edges with one walk, _check_edges, which
-names the first offender; a chunk that _canonical_chunk refuses goes to
-the same walk for its message.  One formatter writes edge lines from a
-table of id strings, so each id is converted once: encode runs it over a
-hypergraph's edges a chunk at a time, and write_edges over a
-construction's column chunks into a file, without any Hypergraph3.  One
-reader, _read, takes decode's text, or a file for file_linear_witness, a
-chunk of whole lines at a time.  A body chunk in encode's exact form is
-parsed by deleting its digits, with one int shared per distinct id; only
-a chunk that this or the canonical check refuses goes to the line
-checker, which reads lenient lines and names the first offending one.
-Linearity (every vertex pair in at most one edge) is checked in O(m) by
-one owner-list walk over edges in canonical order, _repeats: a pair is
-owned by its smaller vertex, whose list is complete, checked and freed
-when that vertex's run of edges ends, and only the partners an owner
-lists twice are kept.  is_linear, linear_witness and file_linear_witness
-all run it; the two witness functions then, only when it found a repeat,
-scan the edges once more in index order for the first pair seen twice.
+one check, _canonical_chunk, holds each chunk to these rules row by row:
+a row is a run of one first vertex, and only a row that repeats a second
+vertex compares (second, third) pairs.  The constructor checks its own
+edges with one walk, _check_edges, which names the first offender; a
+chunk that _canonical_chunk refuses goes to the same walk for its
+message.  One formatter writes edge lines from a table of id strings, so
+each id is converted once: encode runs it over a hypergraph's edges a
+chunk at a time, and write_edges over a construction's column chunks
+into a file, without any Hypergraph3.  One reader, _read, takes decode's
+text, or a file for file_linear_witness, a chunk of whole lines at a
+time.  A body chunk is in encode's exact form when deleting its digits
+leaves two spaces and a newline per line and it splits into three tokens
+per line; its tokens are looked up in one table of ids shared across
+chunks, and only a token missing there is parsed, so each distinct id
+has one int.  Only a chunk that this or the canonical check refuses goes
+to the line checker, which reads lenient lines and names the first
+offending one.  decode builds its Hypergraph3 from the edges the reader
+has checked, without the constructor's walk.  Linearity (every vertex
+pair in at most one edge) is checked in O(m) by one owner-list walk over
+edges in canonical order, _repeats: a pair is owned by its smaller
+vertex, whose list is complete, checked and freed when that vertex's run
+of edges ends, and only the partners an owner lists twice are kept.
+is_linear, linear_witness and file_linear_witness all run it; the two
+witness functions then, only when it found a repeat, scan the edges once
+more in index order for the first pair seen twice.
 Hypergraphs are one tuple per edge with no reference cycles, so the CLI
 runs each command with the cyclic garbage collector paused and reference
 counting frees them.  Densities are exact rationals.
@@ -40,9 +46,9 @@ as residues in [0, p).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter, lt
 
 from .ffield import is_prime
@@ -68,7 +74,10 @@ ORIGINS = ("V1", "V2", "S-of-V1", "S-of-V2")
 # The codec works on the edge body a chunk at a time: decode and the file
 # stream parse about this many characters of whole lines at once, encode
 # formats and linear checks of a Hypergraph3 take this many edges at once.
-_CHUNK_CHARS = 1 << 16
+# A parsed chunk briefly holds one str per token, about 13 bytes of them
+# per character, on top of the linearity walk's lists, so the file
+# stream's peak grows with the chunk.
+_CHUNK_CHARS = 1 << 15
 _CHUNK_EDGES = 1 << 12
 
 
@@ -106,6 +115,15 @@ class Hypergraph3(Record):
             canon.append(t)
         canon.sort()
         return cls(n, tuple(canon))
+
+    @classmethod
+    def _checked(cls, n: int, edges: tuple) -> "Hypergraph3":
+        """The hypergraph of a vertex count and a tuple of int triples that
+        a reader has already held to the constructor's rules, built without
+        walking the edges again."""
+        h = object.__new__(cls)
+        h.__dict__.update(n=n, edges=edges)
+        return h
 
     @property
     def m(self) -> int:
@@ -151,14 +169,14 @@ def _owner_lists(chunks):
     their first vertex a come in one run, and every edge giving b a
     partner comes before b's run, so a list is yielded, and freed, when
     its owner's run ends; only the partners given to b wait in per-vertex
-    lists.
+    lists, which each chunk fills in one pass of map calls, with no
+    per-edge loop in the interpreter.
     """
     waiting = defaultdict(list)
     owner = None
     listed = []
     for firsts, seconds, thirds in chunks:
-        for b, c in zip(seconds, thirds):
-            waiting[b].append(c)
+        deque(map(list.append, map(waiting.__getitem__, seconds), thirds), 0)
         i, k = 0, len(firsts)
         while i < k:
             x = firsts[i]
@@ -327,18 +345,34 @@ def _canonical_chunk(firsts, seconds, thirds, prev, n: int) -> bool:
     """Whether the edges (firsts[i], seconds[i], thirds[i]) are as the
     constructor requires: ids in [0, n), each edge strictly ascending and
     above its predecessor, the first one above prev (None at the start).
-    Every test runs over whole columns in C."""
+
+    The b < c and range tests run over whole columns in C, the order test
+    once per row, a run of one first vertex x.  bisect_right finds the
+    row's end j, past which the next first vertex exceeds x, and a count
+    confirms that x fills the row, so the first vertices do not decrease.
+    Within the row x < b holds when it holds for the least b, and the
+    (b, c) pairs ascend when the b's do; only a row that repeats a b
+    compares its (b, c) pairs.  With the rows in order, firsts[0] is the
+    least id.
+    """
     if not firsts:
         return True
-    return (
-        min(firsts) >= 0
-        and max(thirds) < n
-        and all(map(lt, firsts, seconds))
-        and all(map(lt, seconds, thirds))
-        and (prev is None or prev < (firsts[0], seconds[0], thirds[0]))
-        and all(map(lt, zip(firsts, seconds, thirds),
-                    islice(zip(firsts, seconds, thirds), 1, None)))
-    )
+    if not (firsts[0] >= 0 and max(thirds) < n and all(map(lt, seconds, thirds))
+            and (prev is None or prev < (firsts[0], seconds[0], thirds[0]))):
+        return False
+    i, k = 0, len(firsts)
+    while i < k:
+        x = firsts[i]
+        j = bisect_right(firsts, x, i)
+        row = seconds[i:j]
+        if firsts[i:j].count(x) != j - i or not x < row[0]:
+            return False
+        if not all(map(lt, row, row[1:])):
+            pairs = list(zip(row, thirds[i:j]))
+            if not all(map(lt, pairs, pairs[1:])):
+                return False
+        i = j
+    return True
 
 
 def _checked_chunks(n: int, chunks):
@@ -418,39 +452,42 @@ def decode_with_provenance(text: str) -> tuple[Hypergraph3, VertexMap | None]:
 _DELETE_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
 
 
-def _encode_form(body: str, m: int) -> bool:
-    """Whether body is m lines as encode writes them: three runs of ASCII
-    digits, a single space between runs and a newline after each line.
+def _encode_tokens(body: str) -> list[str] | None:
+    """The digit runs of body, in order, when body is lines as encode
+    writes them: three runs of ASCII digits, a single space between runs
+    and a newline after each line; None for any other body.
 
-    The tests run cheapest first.  The line count bounds the expected
-    string by the body.  Deleting the digits must leave "  \n" per line,
-    so the only characters are digits, the two spaces and the newline, in
-    that layout.  Then there must be 3m tokens, that is, no run is empty:
-    no line starts or ends with a space and no two spaces touch.
+    Deleting the digits must leave "  \n" per line, so the only
+    characters are digits, the two spaces and the newline, in that layout.
+    Then splitting must give three tokens per line, that is, no run is
+    empty: no line starts or ends with a space and no two spaces touch.
     """
-    return (
-        body.count("\n") == m
-        and body.translate(_DELETE_DIGITS) == "  \n" * m
-        and not body.startswith(" ")
-        and "\n " not in body
-        and "  " not in body
-        and " \n" not in body
-    )
-
-
-def _chunk_ids(chunk: str, value: dict[str, int]) -> list[int] | None:
-    """The vertex ids of chunk, whole lines in encode's form, in order;
-    None for any other chunk.  value maps each id's text to its int across
-    chunks, so each distinct id is parsed once and its int shared."""
-    if not _encode_form(chunk, chunk.count("\n")):
+    m = body.count("\n")
+    if body.translate(_DELETE_DIGITS) != "  \n" * m:
         return None
-    tokens = chunk.split()
-    new = set(tokens).difference(value)
+    tokens = body.split()
+    return tokens if len(tokens) == 3 * m else None
+
+
+def _chunk_columns(chunk: str, value: dict[str, int]):
+    """The edges of chunk, whole lines in encode's form, as column lists
+    (firsts, seconds, thirds); None for any other chunk.  value maps each
+    id's text to its int across chunks, so each distinct id is parsed once
+    and its int shared: the tokens are looked up there first, and only
+    when one is missing are the new ones parsed and added."""
+    tokens = _encode_tokens(chunk)
+    if tokens is None:
+        return None
     try:
-        value.update(zip(new, map(int, new)))
-    except ValueError:  # more digits than int() accepts
-        return None
-    return list(map(value.__getitem__, tokens))
+        ids = list(map(value.__getitem__, tokens))
+    except KeyError:
+        new = set(tokens).difference(value)
+        try:
+            value.update(zip(new, map(int, new)))
+        except ValueError:  # more digits than int() accepts
+            return None
+        ids = list(map(value.__getitem__, tokens))
+    return ids[0::3], ids[1::3], ids[2::3]
 
 
 def _note(line: str, lineno: int, notes: dict) -> None:
@@ -515,7 +552,7 @@ def _read(pieces, notes: dict | None = None):
 
     The comments (recorded in notes when it is given, see _note) and the
     header are read line by line.  A piece of the body is parsed by
-    _chunk_ids and checked by _canonical_chunk, which needs no per-line
+    _chunk_columns and checked by _canonical_chunk, which needs no per-line
     work; only a piece they refuse goes to the line checker,
     _checked_lines.  On a fault the rest of pieces is still read, a piece
     at a time, before the error is raised: a text without a trailing
@@ -545,10 +582,8 @@ def _read(pieces, notes: dict | None = None):
             if pos == len(piece):
                 continue
             body = piece[pos:]
-            ids = _chunk_ids(body, value)
-            if ids is not None:
-                columns = ids[0::3], ids[1::3], ids[2::3]
-            if (ids is None or len(columns[0]) > m - count
+            columns = _chunk_columns(body, value)
+            if (columns is None or len(columns[0]) > m - count
                     or not _canonical_chunk(*columns, prev, n)):
                 columns = _checked_lines(body, lineno, prev, n, m - count)
             count += len(columns[0])
@@ -581,10 +616,11 @@ def _text_chunks(text: str):
 
 
 def _decode(text: str, notes: dict | None) -> Hypergraph3:
-    """The hypergraph of text, read a piece at a time (see _read)."""
+    """The hypergraph of text, read a piece at a time (see _read), whose
+    checks already hold every edge to the constructor's rules."""
     reader = _read(_text_chunks(text), notes)
     n = next(reader)
-    return Hypergraph3(n, list(chain.from_iterable(zip(*columns) for columns in reader)))
+    return Hypergraph3._checked(n, tuple(chain.from_iterable(zip(*columns) for columns in reader)))
 
 
 def _vertex_map(n: int, notes: dict) -> VertexMap | None:

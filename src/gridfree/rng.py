@@ -14,15 +14,19 @@ MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
+def _mix(state: int) -> int:
+    """splitmix64's output for the 64-bit state state."""
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
 def splitmix64_stream(seed: int) -> Iterator[int]:
     """Infinite stream of uniform 64-bit values for the given seed."""
     state = seed & MASK64
     while True:
         state = (state + _GAMMA) & MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        yield z ^ (z >> 31)
+        yield _mix(state)
 
 
 def bernoulli_threshold(num: int, den: int) -> int:
@@ -37,15 +41,18 @@ def sample_distinct(n: int, k: int, seed: int) -> tuple[int, ...]:
     Fisher-Yates shuffle driven by splitmix64.
 
     The shuffle is sparse: moved holds only the positions a swap has
-    displaced, so a call costs O(k), not a copy of range(n).
+    displaced, so a call costs O(k), not a copy of range(n).  The draws
+    are splitmix64_stream(seed)'s, its state stepped in place rather than
+    by starting a generator.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     moved: dict[int, int] = {}
     out = []
-    stream = splitmix64_stream(seed)
+    state = seed & MASK64
     for i in range(k):
-        j = i + next(stream) % (n - i)
+        state = (state + _GAMMA) & MASK64
+        j = i + _mix(state) % (n - i)
         out.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
     return tuple(out)

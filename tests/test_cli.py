@@ -192,6 +192,12 @@ USAGE_ERRORS = [
     ("nonsense",),
     ("pascal", "--p", "13", "--samples", "-5"),
     *(("construct", "qr", "--p", "7", "--out", name) for name in ("", ".", "..", "/", "x/..")),
+    # past a work budget: refused before any work, a 30-digit prime included
+    ("construct", "base", "--p", "1000000000000000000000000000057", "--out", "big.hg3"),
+    ("construct", "qr", "--p", "20011"),
+    ("census", "--p", "5..2001"),
+    ("lemma", "--N", "2..99999999999999999999"),
+    ("pascal", "--p", "13", "--samples", "1000001"),
 ]
 
 
@@ -202,6 +208,42 @@ def test_usage_errors_exit_two(args, tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+BUDGETS = [
+    # (flag's command and value at the budget, the same past it, the budget)
+    (("construct", "base", "--p", "19997"), ("construct", "base", "--p", "20011"),
+     "MAX_CONSTRUCT_P"),
+    (("census", "--p", "5..2000"), ("census", "--p", "2000..2001"), "MAX_CENSUS_P"),
+    (("lemma", "--N", "2..500"), ("lemma", "--N", "501"), "MAX_LEMMA_N"),
+    (("pascal", "--p", "7", "--samples", "1000000"),
+     ("pascal", "--p", "7", "--samples", "1000001"), "MAX_PASCAL_SAMPLES"),
+]
+
+
+@pytest.mark.parametrize("inside,past,name", BUDGETS)
+def test_work_budgets_are_refused_at_parse_time_and_named(inside, past, name, capsys):
+    from gridfree import cli
+
+    budget = getattr(cli, name)
+    parser = cli.build_parser()
+    parser.parse_args(inside)  # the largest accepted value parses
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(past)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith(f"exceeds the work budget of {budget}")
+    assert sum("work budget" in line for line in err) == 1
+    with pytest.raises(SystemExit):
+        parser.parse_args([inside[0], "--help"])
+    assert f"{budget} (work budget)" in " ".join(capsys.readouterr().out.split())
+    assert f"{budget:,}" in (GOLDEN.parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_construct_accepts_the_p_the_roadmap_cites():
+    from gridfree import cli
+
+    assert cli.build_parser().parse_args(["construct", "base", "--p", "10007"]).p == 10007
 
 
 def test_unknown_check_and_bad_max_vertices(tmp_path):

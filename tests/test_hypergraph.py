@@ -1,9 +1,10 @@
 import random
 import re
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from gridfree import hypergraph
@@ -417,9 +418,10 @@ def test_digit_deletion_accepts_exactly_the_regex_bodies(triples, edits):
     if body and not body.endswith("\n"):
         return  # decode's trailing-newline check refuses such texts first
     by_regex = oracles.canonical_body_by_regex(body)
-    assert hypergraph._encode_form(body, body.count("\n")) == by_regex
-    m = len(triples)
-    assert hypergraph._encode_form(body, m) == (by_regex and body.count("\n") == m)
+    tokens = hypergraph._encode_tokens(body)
+    assert (tokens is not None) == by_regex
+    if by_regex:
+        assert tokens == body.split() and len(tokens) == 3 * body.count("\n")
 
 
 @pytest.mark.parametrize("body,accepted", [
@@ -449,7 +451,100 @@ def test_digit_deletion_accepts_exactly_the_regex_bodies(triples, edits):
 ])
 def test_digit_deletion_edge_cases(body, accepted):
     assert oracles.canonical_body_by_regex(body) == accepted
-    assert hypergraph._encode_form(body, body.count("\n")) == accepted
+    assert (hypergraph._encode_tokens(body) is not None) == accepted
+
+
+def _check_edges_verdict(n, edges, prev):
+    try:
+        hypergraph._check_edges(n, [*([prev] if prev else ()), *edges])
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _column_chunks(draw):
+    """(n, firsts, seconds, thirds, prev): a sorted sample of triples, many
+    rows repeating a second vertex and many single-edge rows, with a few
+    edits that may unsort the first vertices, swap or repeat edges, or put
+    ids below 0 or at n and above; prev is None, the first edge, or any
+    edge of the same range, so below or above it."""
+    n = draw(st.integers(3, 8))
+    triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)]
+    edges = sorted(draw(st.lists(st.sampled_from(triples), unique=True, max_size=12)))
+    for kind, at, value in draw(st.lists(st.tuples(
+            st.sampled_from(["first", "set", "swap", "repeat", "drop"]),
+            st.integers(0, 11), st.integers(-2, n + 1)), max_size=3)):
+        if not edges:
+            break
+        at %= len(edges)
+        if kind in ("first", "set"):
+            e = list(edges[at])
+            e[0 if kind == "first" else value % 3] = value
+            edges[at] = tuple(e)
+        elif kind == "swap" and at + 1 < len(edges):
+            edges[at], edges[at + 1] = edges[at + 1], edges[at]
+        elif kind == "repeat":
+            edges.insert(at, edges[at])
+        elif kind == "drop":
+            del edges[at]
+    prev = draw(st.sampled_from([None, *edges[:1], *triples]))
+    firsts, seconds, thirds = (list(column) for column in zip(*edges)) if edges else ([], [], [])
+    return n, firsts, seconds, thirds, prev
+
+
+@settings(max_examples=400)
+@given(_column_chunks())
+@example((5, [0, 0, 0], [1, 1, 2], [3, 4, 3], (0, 1, 2)))  # a repeated second vertex
+@example((5, [0, 0, 1], [1, 1, 2], [4, 3, 3], None))  # its thirds descending
+@example((6, [0, 2, 1, 3], [1, 3, 2, 4], [2, 4, 3, 5], None))  # unsorted single-edge rows
+# a first vertex out of place inside what bisection takes for one row,
+# whose second vertices still ascend
+@example((6, [0, 1, 0, 2], [2, 3, 4, 3], [5, 5, 5, 4], None))
+@example((4, [0, 0], [1, 2], [2, 3], (0, 1, 2)))  # prev equal to the first edge
+@example((4, [-1, -1], [0, 1], [2, 2], None))  # an id below 0, in order otherwise
+@example((4, [0, 0], [1, 2], [3, 4], None))  # an id equal to n
+def test_row_wise_canonical_check_agrees_with_the_constructor_walk(chunk):
+    n, firsts, seconds, thirds, prev = chunk
+    verdict = hypergraph._canonical_chunk(firsts, seconds, thirds, prev, n)
+    assert verdict == _check_edges_verdict(n, list(zip(firsts, seconds, thirds)), prev)
+
+
+# an id with more digits than int() accepts where it has a limit (3.11 on)
+LONG_ID = "0" * 5000 + "7"
+
+
+@pytest.mark.parametrize("chars", [1, 12, 1 << 16])
+@pytest.mark.parametrize("text", [
+    "20 3\n7 8 9\n007 10 11\n7 12 13\n",  # 007 read after 7
+    "20 3\n007 8 9\n7 10 11\n07 12 13\n",  # and before it
+    "20 2\n0 7 8\n1 007 0007\n",  # one id text equal to another's int
+    f"20 2\n0 1 2\n{LONG_ID} 10 11\n",
+    f"20 2\n7 8 9\n{LONG_ID} 10 11\n",  # the same int as a table entry
+    f"20 2\n0 1 2\n3 4 1{LONG_ID}\n",
+], ids=["007-after-7", "007-before-7", "padded-partners", "long-id", "long-id-in-table",
+        "long-id-out-of-range"])
+def test_table_first_parse_agrees_with_the_line_oracle(monkeypatch, chars, text):
+    monkeypatch.setattr(hypergraph, "_CHUNK_CHARS", chars)
+    try:
+        expected = oracles.decode_by_lines(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            decode(text)
+        assert (got.value.line, str(got.value)) == (exc.line, str(exc))
+    else:
+        assert decode(text) == expected
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=8),
+       st.integers(1, 40))
+def test_zero_padded_ids_parse_like_the_line_oracle(pads, chars):
+    # the same ids written with and without leading zeros, in any chunking
+    edges = [(a, a + 1, a + 2) for a in range(len(pads))]
+    lines = [" ".join("0" * k + str(v) for k, v in zip(pad, e)) for pad, e in zip(pads, edges)]
+    text = f"{len(edges) + 2} {len(edges)}\n" + "".join(line + "\n" for line in lines)
+    with patch.object(hypergraph, "_CHUNK_CHARS", chars):
+        assert decode(text) == oracles.decode_by_lines(text) == Hypergraph3(len(edges) + 2, edges)
 
 
 PARSE_ERRORS = [

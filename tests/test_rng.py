@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -44,3 +44,12 @@ def test_sample_distinct_rejects_k_out_of_range():
     for n, k in ((5, 6), (0, 1), (5, -1)):
         with pytest.raises(ValueError, match="need 0 <= k <= n"):
             sample_distinct(n, k, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1 << 63, MASK64 - 1, MASK64])
+def test_pascal_draws_match_the_generator_oracle(seed):
+    # pascal's route: one stream per run, one sample_distinct per stream draw
+    stream = splitmix64_stream(seed)
+    for draw in chain([seed], islice(stream, 400)):
+        for n, k in ((1009, 6), (7, 6), (13, 13)):
+            assert sample_distinct(n, k, draw) == oracles.sample_distinct_by_pool(n, k, draw)
