@@ -55,21 +55,21 @@ def delta_sum_check(p: int) -> int:
 
     Substituting u = a-b, v = a+b turns each term into chi((uv)^2 - 4), so
     the double sum collapses to (p-1) copies of the Gauss sum above and
-    the identity value is -(p-1).  Computed here by brute force.
+    the identity value is -(p-1).  Enumerated here without it: a term
+    depends only on x = a^2 and y = b^2, so the sum runs over pairs of the
+    (p+1)/2 distinct squares, each weighted by its number of square roots.
     """
     pv = check_prime(p, 3)
     chi = chi_table(pv)
     g = [chi[(u * u - 4) % pv] for u in range(pv)]
-    sq = [x * x % pv for x in range(pv)]
-    # Row a gathers g[(a^2 - b^2) mod p] for every b in one call: in the
-    # doubled table, g2[a^2 + p - b^2] is that term, so the row is the fixed
-    # index set {p - b^2} applied to the slice of g2 that starts at a^2.
-    # The full square of pairs counts each of the p diagonal pairs as g[0].
+    squares = {x * x % pv for x in range(pv)}
+    # Row x is 2 * sum_y g[x - y] - g[x] (y = 0 has one root), gathered in one
+    # call as g2[x + p - y]; the p diagonal pairs a = b each count as g[0].
     g2 = g + g
-    row = itemgetter(*[pv - sb for sb in sq])
+    row = itemgetter(*[pv - y for y in squares])
     total = -pv * g[0]
-    for sa in sq:
-        total += sum(row(g2[sa : sa + pv + 1]))
+    for x in squares:
+        total += (1 if x == 0 else 2) * (2 * sum(row(g2[x : x + pv + 1])) - g[x])
     return total
 
 

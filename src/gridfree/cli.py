@@ -49,8 +49,8 @@ from .hypergraph import (
 from .lemma import (
     EXHAUSTIVE_LIMIT,
     best_subset,
-    coverage,
     delta_check,
+    exhaustive_average,
     expected_coverage,
     half_family_expectation,
     lemma_bound,
@@ -306,13 +306,8 @@ def cmd_verify(args) -> int:
 
 def cmd_census(args) -> int:
     lo, hi = args.p
-    primes = []
-    skipped = []
-    for v in range(lo, hi + 1):
-        if v >= 5 and v % 2 == 1 and is_prime(v):
-            primes.append(v)
-        else:
-            skipped.append(v)
+    primes = [v for v in range(lo, hi + 1) if v >= 5 and v % 2 == 1 and is_prime(v)]
+    skipped = sorted(set(range(lo, hi + 1)).difference(primes))
     manifest = _manifest(
         command="census",
         parameters={"p": f"{lo}..{hi}"},
@@ -346,18 +341,9 @@ def _lemma_family(N: int, seed: int):
     return tuple(pairs[i] for i in sorted(pick))
 
 
-def _exhaustive_average(N: int, k: int, fam) -> Fraction:
-    total = sum(coverage(S, fam) for S in combinations(range(N), k))
-    return Fraction(total, comb(N, k))
-
-
 def cmd_lemma(args) -> int:
     lo, hi = args.N
-    manifest = _manifest(
-        command="lemma",
-        parameters={"N": f"{lo}..{hi}"},
-        seed=args.seed,
-    )
+    manifest = _manifest(command="lemma", parameters={"N": f"{lo}..{hi}"}, seed=args.seed)
     _print_json({"manifest": manifest}, args.pretty)
     for N in range(lo, hi + 1):
         k = N // 2
@@ -369,13 +355,12 @@ def cmd_lemma(args) -> int:
             return EXIT_VIOLATION
         fam = _lemma_family(N, args.seed)
         h_size = len(fam) if fam is not None else None
-        best_cov = None
-        best_set = None
+        best_cov = best_set = None
         if fam is not None:
             if expected_coverage(N, k, fam) != expectation:
                 print(f"expectation formula failed at N={N}", file=sys.stderr)
                 return EXIT_VIOLATION
-            if N <= 12 and _exhaustive_average(N, k, fam) != expectation:
+            if N <= 12 and exhaustive_average(N, k, fam) != expectation:
                 print(f"exhaustive average disagrees at N={N}", file=sys.stderr)
                 return EXIT_VIOLATION
             if N <= EXHAUSTIVE_LIMIT:
@@ -407,11 +392,8 @@ def cmd_pascal(args) -> int:
         xs = sample_distinct(p, 6, next(stream))
         if not pascal_collinear(xs, p):
             failures.append({"sample": i, "xs": list(xs)})
-    manifest = _manifest(
-        command="pascal",
-        parameters={"p": args.p, "samples": args.samples},
-        seed=args.seed,
-    )
+    manifest = _manifest(command="pascal", parameters={"p": args.p, "samples": args.samples},
+                         seed=args.seed)
     _print_json(
         {
             "manifest": manifest,

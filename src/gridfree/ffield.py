@@ -21,15 +21,18 @@ class InvalidPrimeError(ValueError):
     """The requested modulus is not an odd prime of the required size."""
 
 
-# Deterministic Miller-Rabin witness set; exact for every n < 3.3e24,
-# far beyond any modulus this package touches.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the primes up to 41 decides every n below PRIME_LIMIT =
+# psi_13, the least strong pseudoprime to all of them (psi_12 needs 41).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Deterministic Miller-Rabin test for n < PRIME_LIMIT; larger n raise InvalidPrimeError."""
     if n < 2:
         return False
+    if n >= PRIME_LIMIT:
+        raise InvalidPrimeError(f"{n} is too large to test for primality (limit {PRIME_LIMIT})")
     for w in _MR_WITNESSES:
         if n == w:
             return True
@@ -55,9 +58,9 @@ def is_prime(n: int) -> bool:
 def check_prime(p: int, minimum: int = 3) -> int:
     """p itself once it is known to be an odd prime >= minimum.
 
-    Raises InvalidPrimeError for a non-int, an even or composite value, or
-    one below minimum (so also for a bool).  The constructions need p >= 5;
-    the character-sum identities are meaningful from p = 3 on.
+    Raises InvalidPrimeError for a non-int, an even or composite value, one
+    below minimum (so also for a bool) or an odd one that is_prime refuses.
+    The constructions need p >= 5; the character sums mean something from 3.
     """
     if not isinstance(p, int):
         raise InvalidPrimeError(f"modulus must be an int, got {p!r}")

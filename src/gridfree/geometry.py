@@ -1,14 +1,12 @@
 """Incidence geometry of the parabolas y = x^2 + t over F_p, on residues.
 
-A point is its residues (x, y) mod p and a non-vertical line y = mx + c is
-its pair (m, c); secants of a parabola are never vertical.  Secants of
-y = x^2 + t, where a line meets such a parabola (solved by the quadratic
-formula with a Tonelli-Shanks root), and a fully projective
-Pascal-hexagon collinearity check: each point is lifted to the residue
-triple (x, y, 1), and the sides, their opposite meets and the final
-determinant are computed in integers mod p, so parallel sides meeting at
-infinity need no special case.  The same check through projective point
-objects is kept in tests/oracles.py as pascal_meets_by_objects.
+A point is its residues (x, y) mod p and a non-vertical line y = mx + c
+its pair (m, c).  Secants of y = x^2 + t, where a line meets such a
+parabola (the quadratic formula with a Tonelli-Shanks root), and a fully
+projective Pascal-hexagon collinearity check in integers mod p, so
+parallel sides meeting at infinity need no special case.  The same check
+through projective point objects is tests/oracles.py's
+pascal_meets_by_objects.
 """
 
 from __future__ import annotations
@@ -45,32 +43,33 @@ def line_parabola_intersections(slope: int, intercept: int, shift: int, p: int) 
     return tuple(sorted({(slope + r) * inv2 % p, (slope - r) * inv2 % p}))
 
 
-def _cross(u, v, p: int) -> tuple[int, int, int]:
-    """Cross product mod p of two 3-vectors of residues."""
-    return (
-        (u[1] * v[2] - u[2] * v[1]) % p,
-        (u[2] * v[0] - u[0] * v[2]) % p,
-        (u[0] * v[1] - u[1] * v[0]) % p,
-    )
-
-
 def pascal_meets_residues(vecs: Sequence[tuple[int, int, int]], p: int) -> bool:
     """Whether the three opposite-side meets of the hexagon are collinear.
 
-    Hexagon A,B,C,D,E,F in the given order, each point the residue triple
-    (x, y, 1) mod p; sides AB..FA; the meets AB^DE, BC^EF, CD^FA are
-    computed projectively and tested with a 3x3 determinant.  No conic
-    membership is assumed here; this is the bare incidence computation,
-    and p is taken as an odd prime without a check.
+    Hexagon A,B,C,D,E,F in the given order, each point a residue triple
+    (x, y, z) mod p; sides AB..FA; the meets AB^DE, BC^EF, CD^FA are
+    computed projectively, each cross product written out, and tested with
+    a 3x3 determinant.  No conic membership and no z = 1 are assumed; this
+    is the bare incidence computation, and p is taken as an odd prime
+    without a check.
     """
     if len(vecs) != 6:
         raise ValueError(f"exactly six points required, got {len(vecs)}")
     if len(set(vecs)) != 6:
         raise ValueError("hexagon points must be pairwise distinct")
-    sides = [_cross(vecs[i], vecs[(i + 1) % 6], p) for i in range(6)]
-    m1, m2, m3 = [_cross(sides[i], sides[i + 3], p) for i in range(3)]
-    # det(m1, m2, m3) = m1 . (m2 x m3)
-    return sum(a * b for a, b in zip(m1, _cross(m2, m3, p))) % p == 0
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz), (ex, ey, ez), (fx, fy, fz) = vecs
+    # (li, mi, ni) is side i of AB..FA; u, v, w the meets, and the result
+    # det(u, v, w) = u . (v x w).
+    l1, m1, n1 = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    l2, m2, n2 = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
+    l3, m3, n3 = cy * dz - cz * dy, cz * dx - cx * dz, cx * dy - cy * dx
+    l4, m4, n4 = dy * ez - dz * ey, dz * ex - dx * ez, dx * ey - dy * ex
+    l5, m5, n5 = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
+    l6, m6, n6 = fy * az - fz * ay, fz * ax - fx * az, fx * ay - fy * ax
+    ux, uy, uz = (m1 * n4 - n1 * m4) % p, (n1 * l4 - l1 * n4) % p, (l1 * m4 - m1 * l4) % p
+    vx, vy, vz = (m2 * n5 - n2 * m5) % p, (n2 * l5 - l2 * n5) % p, (l2 * m5 - m2 * l5) % p
+    wx, wy, wz = (m3 * n6 - n3 * m6) % p, (n3 * l6 - l3 * n6) % p, (l3 * m6 - m3 * l6) % p
+    return not (ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx)) % p
 
 
 def pascal_collinear(xs: Sequence[int], p: int) -> bool:

@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import itemgetter, lt
 
-from .ffield import is_prime
+from .ffield import PRIME_LIMIT, is_prime
 from .record import Record
 
 __all__ = [
@@ -632,8 +632,9 @@ def _vertex_map(n: int, notes: dict) -> VertexMap | None:
     if "modulus" not in notes:
         raise FormatError("vertex comments without a modulus comment", vertex_lines[0][0])
     modulus_line, modulus = notes["modulus"]
-    if modulus % 2 == 0 or not is_prime(modulus):
-        raise FormatError(f"modulus {modulus} is not an odd prime", modulus_line)
+    if modulus % 2 == 0 or modulus >= PRIME_LIMIT or not is_prime(modulus):
+        raise FormatError(f"modulus {modulus} is not an odd prime below {PRIME_LIMIT}",
+                          modulus_line)
     by_id: dict[int, VertexInfo] = {}
     points: set[tuple[int, int]] = set()
     for lno, vid, origin, x, y in vertex_lines:

@@ -11,6 +11,7 @@ Everything here is integer or Fraction arithmetic, no floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, comb
 
 from .record import Record
@@ -18,9 +19,9 @@ from .record import Record
 __all__ = [
     "LemmaInstance",
     "expected_coverage",
+    "exhaustive_average",
     "half_family_expectation",
     "lemma_bound",
-    "coverage",
     "best_subset",
     "delta_check",
 ]
@@ -66,6 +67,21 @@ def expected_coverage(N: int, k: int, H) -> Fraction:
     return len(inst.H) * (1 - miss)
 
 
+def exhaustive_average(N: int, k: int, H) -> Fraction:
+    """expected_coverage(N, k, H) by brute force: the mean over every
+    k-subset of [N] of |H| less the pairs inside its complement, counted on
+    bitmasks that hold each pair (a, b) as bit b of later[a]."""
+    inst = LemmaInstance(N, k, tuple(H))
+    later = [0] * N
+    for a, b in inst.H:
+        later[a] |= 1 << b
+    total = 0
+    for rest in combinations(range(N), N - k):
+        mask = sum([1 << v for v in rest])
+        total += len(inst.H) - sum([(later[v] & mask).bit_count() for v in rest])
+    return Fraction(total, comb(N, k))
+
+
 def half_family_expectation(N: int) -> Fraction:
     """(2kN - k^2 - k)/4 with k = floor(N/2): expected_coverage(N, k, H) for
     any exact half family H, |H| = C(N, 2)/2."""
@@ -81,12 +97,6 @@ def lemma_bound(N: int) -> int:
     return ceil(half_family_expectation(N))
 
 
-def coverage(S, H) -> int:
-    """Number of pairs of H meeting the subset S."""
-    s = set(S)
-    return sum(1 for a, b in H if a in s or b in s)
-
-
 def best_subset(N: int, k: int, H) -> tuple[tuple[int, ...], int]:
     """Exhaustive maximizer of coverage over all k-subsets of [N]; ties go
     to the lexicographically least subset.  N beyond EXHAUSTIVE_LIMIT is
@@ -94,13 +104,15 @@ def best_subset(N: int, k: int, H) -> tuple[tuple[int, ...], int]:
 
     The subsets are walked depth-first in lexicographic order with the
     members as a bitmask: adding v covers deg[v] - |adj[v] & mask| new
-    pairs, so each step costs one popcount instead of a rescan of H.
+    pairs, its gain, one popcount instead of a rescan of H.  A subtree is
+    pruned when its coverage plus the `left` largest gains at or after
+    start is at most the best found: gains only shrink as the mask grows,
+    so no completion beats that bound, and a tie met later in the walk is
+    never the lexicographically lesser subset.
     """
     inst = LemmaInstance(N, k, tuple(H))
     if N > EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"N={N} is too large for exhaustive search (limit {EXHAUSTIVE_LIMIT})"
-        )
+        raise ValueError(f"N={N} is too large for exhaustive search (limit {EXHAUSTIVE_LIMIT})")
     adj = [0] * N
     for a, b in inst.H:
         adj[a] |= 1 << b
@@ -117,9 +129,12 @@ def best_subset(N: int, k: int, H) -> tuple[tuple[int, ...], int]:
             if cov > best_c:
                 best_s, best_c = tuple(chosen), cov
             return
+        gains = [deg[v] - (adj[v] & mask).bit_count() for v in range(start, N)]
+        if cov + sum(sorted(gains)[-left:]) <= best_c:
+            return
         for v in range(start, N - left + 1):
             chosen.append(v)
-            extend(v + 1, mask | 1 << v, cov + deg[v] - (adj[v] & mask).bit_count())
+            extend(v + 1, mask | 1 << v, cov + gains[v - start])
             chosen.pop()
 
     extend(0, 0, 0)

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from gridfree import FormatError, Hypergraph3, LemmaInstance, closed_form_N, coverage
+from gridfree import FormatError, Hypergraph3, LemmaInstance, closed_form_N
 from gridfree.charsum import SecantCensus
 from gridfree.lemma import EXHAUSTIVE_LIMIT
 from gridfree.rng import splitmix64_stream
@@ -665,6 +665,12 @@ def random_pair_family(rng: random.Random, n: int) -> tuple[tuple[int, int], ...
     pool = list(itertools.combinations(range(n), 2))
     size = rng.randint(0, len(pool))
     return tuple(sorted(rng.sample(pool, size)))
+
+
+def coverage(S, H) -> int:
+    """Number of pairs of H meeting the subset S, by a rescan of H."""
+    s = set(S)
+    return sum(1 for a, b in H if a in s or b in s)
 
 
 def average_coverage_direct(n: int, k: int, family) -> Fraction:

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from childenv import child_env
@@ -198,6 +199,9 @@ USAGE_ERRORS = [
     ("census", "--p", "5..2001"),
     ("lemma", "--N", "2..99999999999999999999"),
     ("pascal", "--p", "13", "--samples", "1000001"),
+    # the least strong pseudoprime to bases 2..37, and the limit of the test
+    ("pascal", "--p", "318665857834031151167461"),
+    ("pascal", "--p", "3317044064679887385961981"),
 ]
 
 
@@ -208,6 +212,16 @@ def test_usage_errors_exit_two(args, tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("p,why", [("318665857834031151167461", "is not an odd prime"),
+                                   ("3317044064679887385961981", "too large")])
+def test_pascal_refuses_a_pseudoprime_in_one_error_line(p, why, tmp_path):
+    proc = run(("pascal", "--p", p), tmp_path)
+    lines = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert lines[0].startswith("usage: gridfree pascal") and len(lines) == 2, proc.stderr
+    assert lines[1].startswith("gridfree pascal: error: argument --p: " + p) and why in lines[1]
 
 
 BUDGETS = [
@@ -494,3 +508,79 @@ def test_benchmark_traced_names_resolve():
         assert cli.main(["pascal", "--p", "7", "--samples", "3"]) == 0
     assert cli.pascal_collinear is original
     assert tracer.metrics()["geometry.pascal_collinear.calls"] == 3
+
+
+PSEUDOPRIMES = ("318665857834031151167461", "3317044064679887385961981")
+_SEEDS = st.sampled_from([None, "0", "1", "3", str(2**64 - 1), str(2**64), "-1", "x",
+                          *PSEUDOPRIMES])
+
+
+def _range(lo: int, hi: int):
+    """LO..HI strings over [lo, hi], empty and reversed ranges included."""
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(lambda t: f"{t[0]}..{t[1]}")
+
+
+def _with_flags(command: str, **flags):
+    """argv for command, each flag either left out or given a drawn value,
+    and --pretty either way."""
+    def build(drawn):
+        values, pretty = drawn
+        argv = [command]
+        for flag, value in zip(flags, values):
+            if value is not None:
+                argv += [f"--{flag}", value]
+        return argv + ["--pretty"] * pretty
+
+    return st.tuples(st.tuples(*flags.values()), st.booleans()).map(build)
+
+
+AUDIT_ARGV = st.one_of(
+    _with_flags("census", p=st.one_of(
+        _range(3, 40),
+        st.sampled_from([None, "5", "7", "3..4", "2000..2000", "2000..2001", "5..2001", "1..4",
+                         "x", "", "5..", "..7", "-3..5", "3.5", *PSEUDOPRIMES]))),
+    _with_flags("lemma", N=st.one_of(
+        _range(1, 18),
+        st.sampled_from([None, "2", "16..17", "500", "501", "0", "x", "2..99999999999999999999",
+                         *PSEUDOPRIMES])), seed=_SEEDS),
+    _with_flags("pascal", p=st.sampled_from(
+        [None, "5", "7", "11", "13", "1009", "4", "9", "-7", "x", "1000000000000000000000000000057",
+         *PSEUDOPRIMES]),
+        samples=st.sampled_from([None, "1", "2", "3", "0", "-5", "1000001", "x"]), seed=_SEEDS),
+)
+
+
+def _json_documents(text: str) -> list:
+    """The JSON values of text, one after another with whitespace between."""
+    decoder, docs, pos = json.JSONDecoder(), [], 0
+    while text[pos:].strip():
+        pos += len(text[pos:]) - len(text[pos:].lstrip())
+        doc, pos = decoder.raw_decode(text, pos)
+        docs.append(doc)
+    return docs
+
+
+@settings(max_examples=150, deadline=None)
+@given(AUDIT_ARGV)
+def test_audit_commands_keep_the_exit_code_contract(argv):
+    """census, lemma and pascal in-process on valid, boundary and invalid
+    values: every exit is 0, 1 or 2, no other exception escapes main, and
+    stdout is JSON on 0 and 1 and empty on 2."""
+    import contextlib
+    import io
+
+    from gridfree import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "", argv
+    else:
+        docs = _json_documents(out.getvalue())
+        assert docs and docs[0]["manifest"]["command"] == argv[0], argv

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from gridfree import (
     line_parabola_intersections,
     secant_line,
 )
-from gridfree.construct import GENERATOR, SELECTION_RULE, select_subset
+from gridfree.construct import GENERATOR, SELECTION_RULE, construction, select_subset
 
 BASE5_EDGES = ((0, 2, 6), (0, 3, 9), (1, 3, 7), (1, 4, 5), (2, 4, 8))
 BASE7_EDGES = (
@@ -279,3 +280,39 @@ def test_report_invariants():
 def test_generator_constants_documented():
     assert GENERATOR == "splitmix64"
     assert SELECTION_RULE == "smaller-x"
+
+
+def test_every_edge_lies_on_its_hosts_identity():
+    # In x coordinates: a base or random edge {a, b, w}, a and b on V1 and w
+    # on V2, has (w - a)(w - b) = -1; a qr edge {s, a, b}, s a square on V1
+    # and a, b on V2, has (s - a)(s - b) = +1.  Checked on the stream.
+    for p in (5, 7, 11, 13, 101):
+        for kind, params, k in (("base", (), -1), ("random", (1, 2, p), -1), ("qr", (), 1)):
+            vmap, chunks, report = construction(kind, p, *params)
+            x = [info.x for info in vmap.entries]
+            m = 0
+            for firsts, seconds, thirds in chunks:
+                for a, b, c in zip(firsts, seconds, thirds):
+                    if kind == "qr":
+                        w, (a, b) = a, (b, c)  # the square comes first
+                    else:
+                        w = c
+                    assert (x[w] - x[a]) * (x[w] - x[b]) % p == k % p, (kind, p, a, b, w)
+                    m += 1
+            assert m == report(m).m > 0
+
+
+def test_trace_identity_behind_grid_freeness():
+    # The Moebius matrix M_w = [[w, k - w^2], [1, -w]] of the involution
+    # a -> w + k/(a - w) has tr(M_b M_c M_a) = -(a - b)(b - c)(c - a) for
+    # every k.  Both sides have degree at most 2 in each of a, b, c and at
+    # most 3 in k, so agreeing on {-2, ..., 2}^4 proves it over the integers.
+    def mul(x, y):
+        return [[sum(x[i][t] * y[t][j] for t in range(2)) for j in range(2)] for i in range(2)]
+
+    def moebius(w, k):
+        return [[w, k - w * w], [1, -w]]
+
+    for a, b, c, k in itertools.product(range(-2, 3), repeat=4):
+        prod = mul(mul(moebius(b, k), moebius(c, k)), moebius(a, k))
+        assert prod[0][0] + prod[1][1] == -(a - b) * (b - c) * (c - a), (a, b, c, k)

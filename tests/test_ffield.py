@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from gridfree import InvalidPrimeError, check_prime, chi_table, legendre, min_sqrt_table
-from gridfree.ffield import _min_sqrt, is_prime
+from gridfree.ffield import PRIME_LIMIT, _min_sqrt, is_prime
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41)
 
@@ -82,3 +82,20 @@ def test_chi_and_min_sqrt_tables():
         for a in range(p):
             want = oracles.sqrt_scan(p, a)
             assert mins[a] == (min(want) if want else None)
+
+
+PSI_12 = 318665857834031151167461  # least strong pseudoprime to bases 2..37
+PSI_13 = 3317044064679887385961981  # least strong pseudoprime to bases 2..41
+
+
+def test_is_prime_exact_up_to_its_limit_and_refuses_beyond():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI_12)  # passes every witness but 41
+    assert not is_prime(149491 * 747451 * 34233211)  # psi_9, a strong pseudoprime to 2..23
+    with pytest.raises(InvalidPrimeError, match="too large"):
+        is_prime(PSI_13)
+    assert PSI_13 == PRIME_LIMIT
+    for bad in (PSI_12, PSI_13, PSI_13 + 2, 10**30 + 57):
+        with pytest.raises(InvalidPrimeError):
+            check_prime(bad)

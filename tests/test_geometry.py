@@ -192,3 +192,25 @@ def test_pascal_residue_core_on_conic_triples():
         pascal_meets_residues([(x, x * x % 7, 1) for x in (0, 1, 2, 3, 4, 0)], 7)
     with pytest.raises(ValueError, match="six points"):
         pascal_meets_residues([(x, x * x % 7, 1) for x in range(5)], 7)
+
+
+def test_pascal_core_is_projective():
+    # An invertible 3x3 matrix mod p keeps every incidence, moves points off
+    # z = 1 and sends some to z = 0 (infinity): on the images the core must
+    # give the answer the object oracle gives on the affine hexagon.
+    at_infinity = 0
+    for p in (7, 13, 1009):
+        rng = random.Random(p)
+        for kind in ("on-conic", "off-conic", "parallel", "symmetric"):
+            for _ in range(25):
+                pts = _hexagon(rng, p, kind)
+                while True:
+                    t = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+                    if oracles._det3(*t) % p:
+                        break
+                images = [tuple(sum(r[j] * v[j] for j in range(3)) % p for r in t)
+                          for v in _lift(pts)]
+                at_infinity += any(z == 0 for _, _, z in images)
+                want = oracles.pascal_meets_by_objects(pts, p)
+                assert pascal_meets_residues(images, p) == want, (p, kind, pts, t)
+    assert at_infinity > 0

@@ -649,6 +649,15 @@ def test_provenance_reconstruction_errors():
     assert exc.value.line == 2 and "not an odd prime" in str(exc.value)
 
 
+def test_provenance_modulus_must_be_decidably_prime():
+    # psi_12 passes every Miller-Rabin witness up to 37; psi_13 passes 41 too,
+    # so it lies past what the test can decide and is refused as well
+    for modulus in (318665857834031151167461, 3317044064679887385961981, 10**40 + 1):
+        with pytest.raises(FormatError) as exc:
+            decode_with_provenance(f"# modulus {modulus}\n# vertex 0 V1 0 0\n1 0\n")
+        assert exc.value.line == 1 and "not an odd prime below" in str(exc.value)
+
+
 def test_vertex_info_validation():
     info = VertexInfo("V1", 2, 4)
     with pytest.raises(ValueError):

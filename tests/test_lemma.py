@@ -9,8 +9,8 @@ import oracles
 from gridfree import (
     LemmaInstance,
     best_subset,
-    coverage,
     delta_check,
+    exhaustive_average,
     expected_coverage,
     half_family_expectation,
     lemma_bound,
@@ -73,7 +73,7 @@ def test_exact_half_instances_attain_the_bound():
             assert expected_coverage(n, n // 2, fam) == half_family_expectation(n)
             subset, cov = best_subset(n, n // 2, fam)
             assert cov >= lemma_bound(n)
-            assert coverage(subset, fam) == cov
+            assert oracles.coverage(subset, fam) == cov
 
 
 def test_best_subset_is_exhaustive_and_lex_least():
@@ -104,7 +104,7 @@ def test_best_subset_matches_oracle_on_cli_families():
                 continue
             subset, cov = best_subset(n, n // 2, fam)
             assert (subset, cov) == oracles.best_subset_by_coverage(n, n // 2, fam)
-            assert coverage(subset, fam) == cov >= lemma_bound(n)
+            assert oracles.coverage(subset, fam) == cov >= lemma_bound(n)
             checked += 1
     assert checked == 35  # n = 4, 5, 8, 9, 12, 13, 16 at five seeds
 
@@ -133,7 +133,77 @@ def test_instance_validation():
 
 def test_coverage_counts_hits():
     fam = ((0, 1), (2, 3), (1, 2))
-    assert coverage((), fam) == 0
-    assert coverage((0,), fam) == 1
-    assert coverage((1, 3), fam) == 3
-    assert coverage(range(4), fam) == 3
+    assert oracles.coverage((), fam) == 0
+    assert oracles.coverage((0,), fam) == 1
+    assert oracles.coverage((1, 3), fam) == 3
+    assert oracles.coverage(range(4), fam) == 3
+
+
+def _tie_heavy_families(n: int):
+    """Families whose k-subsets tie in bulk: empty, complete, a star, and two
+    disjoint cliques."""
+    half = n // 2
+    return {
+        "empty": (),
+        "complete": tuple(combinations(range(n), 2)),
+        "star": tuple((0, v) for v in range(1, n)),
+        "two cliques": tuple(combinations(range(half), 2))
+        + tuple(combinations(range(half, n), 2)),
+    }
+
+
+def test_best_subset_matches_oracle_on_tie_heavy_families():
+    for n in range(2, 11):
+        for name, fam in _tie_heavy_families(n).items():
+            for k in range(n + 1):
+                assert best_subset(n, k, fam) == oracles.best_subset_by_coverage(n, k, fam), \
+                    (n, k, name)
+
+
+def _leaves_reached(n: int, k: int, fam) -> int:
+    """How many complete k-subsets best_subset's walk reaches, counted
+    from the calls of its inner search function whose mask has k bits."""
+    import sys
+
+    leaves = 0
+
+    def profile(frame, event, arg):
+        nonlocal leaves
+        if event == "call" and frame.f_code.co_name == "extend":
+            leaves += frame.f_locals["mask"].bit_count() == k
+    sys.setprofile(profile)
+    try:
+        best_subset(n, k, fam)
+    finally:
+        sys.setprofile(None)
+    return leaves
+
+
+def test_best_subset_prunes_every_subtree_that_cannot_win():
+    # When every k-subset covers the same number of pairs, the first leaf
+    # is a maximizer, and each later subtree's bound meets it at the latest
+    # one step above its leaves, so only the first leaf's n - k + 1
+    # siblings (itself included), listed before it was found, are reached.
+    # A prune that keeps ties, or on the complete family a bound blind to
+    # the mask, walks to the other leaves.
+    for n in (6, 9, 10):
+        k = n // 2
+        for fam in ((), tuple(combinations(range(n), 2))):
+            assert _leaves_reached(n, k, fam) == n - k + 1, (n, len(fam))
+    # on a random family the walk still reaches far fewer than C(n, k) leaves
+    fam = oracles.random_pair_family(random.Random(12), 12)
+    assert _leaves_reached(12, 6, fam) < comb(12, 6) // 4
+
+
+def test_exhaustive_average_matches_direct_average():
+    for n in range(2, 11):
+        rng = random.Random(7 * n)
+        fams = [oracles.random_pair_family(rng, n) for _ in range(3)]
+        fams += _tie_heavy_families(n).values()
+        for fam in fams:
+            for k in range(n + 1):
+                assert exhaustive_average(n, k, fam) == \
+                    oracles.average_coverage_direct(n, k, fam), (n, k, fam)
+    for n in (4, 5, 8, 9, 12):
+        fam = cli._lemma_family(n, 3)
+        assert exhaustive_average(n, n // 2, fam) == half_family_expectation(n)
