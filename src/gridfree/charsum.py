@@ -110,17 +110,16 @@ def secant_census(p: int) -> SecantCensus:
     """
     pv = check_prime(p, 5)
     xs = sorted({x * x % pv for x in range(pv)})
-    pairs = list(combinations(xs, 2))
     classes = [0] * pv
     for d, lo, hi in _secant_offsets(pv):
         classes[d] = 1 if lo == hi else 2
     # (m + r)/2 and (m - r)/2 are distinct exactly when r and -r are.
     n_roots = [0 if r is None else len({r, -r % pv}) for r in min_sqrt_table(pv)]
 
-    counts = [n_roots[((s + t) * (s + t) - 4 * (1 + s * t)) % pv] for s, t in pairs]
-    expected = [classes[t - s] for s, t in pairs]
+    counts = [n_roots[((s + t) * (s + t) - 4 * (1 + s * t)) % pv] for s, t in combinations(xs, 2)]
+    expected = [classes[t - s] for s, t in combinations(xs, 2)]
     if counts != expected:
-        s, t = next(st for st, a, b in zip(pairs, counts, expected) if a != b)
+        s, t = next(st for st, a, b in zip(combinations(xs, 2), counts, expected) if a != b)
         raise ArithmeticError(
             f"discriminant classification disagrees with geometry "
             f"for pair ({s}, {t}) mod {pv}"
@@ -133,7 +132,7 @@ def secant_census(p: int) -> SecantCensus:
     return SecantCensus(
         p=pv,
         s_size=len(xs),
-        pair_count=len(pairs),
+        pair_count=len(counts),
         n_two=n_two,
         n_tangent=n_tangent,
         n_total=total,

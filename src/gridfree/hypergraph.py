@@ -32,7 +32,9 @@ has checked, without the constructor's walk.  Linearity (every vertex
 pair in at most one edge) is checked in O(m) by one owner-list walk over
 edges in canonical order, _repeats: a pair is owned by its smaller
 vertex, whose list is complete, checked and freed when that vertex's run
-of edges ends, and only the partners an owner lists twice are kept.
+of edges ends, and only the partners an owner lists twice are kept.  The
+partners waiting for their owner's run are packed in arrays whose
+unsigned typecode is the narrowest that holds n - 1.
 is_linear, linear_witness and file_linear_witness all run it; the two
 witness functions then, only when it found a repeat, scan the edges once
 more in index order for the first pair seen twice.
@@ -48,7 +50,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict, deque
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from operator import itemgetter, lt
 
 from .ffield import PRIME_LIMIT, is_prime
@@ -75,8 +78,9 @@ ORIGINS = ("V1", "V2", "S-of-V1", "S-of-V2")
 # stream parse about this many characters of whole lines at once, encode
 # formats and linear checks of a Hypergraph3 take this many edges at once.
 # A parsed chunk briefly holds one str per token, about 13 bytes of them
-# per character, on top of the linearity walk's lists, so the file
-# stream's peak grows with the chunk.
+# per character, on top of the linearity walk's packed partner arrays (2,
+# 4 or 8 bytes per waiting partner, by n), so the file stream's peak grows
+# with the chunk.
 _CHUNK_CHARS = 1 << 15
 _CHUNK_EDGES = 1 << 12
 
@@ -159,48 +163,58 @@ def _edge_chunks(edges):
         yield tuple(list(map(column, chunk)) for column in columns)
 
 
-def _owner_lists(chunks):
-    """Each vertex x that shares an edge with some y > x, as (x, partners),
-    from edges read in canonical order as column chunks.
+def _owner_lists(n: int, chunks):
+    """Each vertex x that shares an edge with some y > x, as (x, pending,
+    own), from the edges of a hypergraph on n vertices read in canonical
+    order as column chunks: own lists the partners of x's run of edges,
+    pending those that earlier edges gave it.
 
     The pair {x, y} with x < y is owned by x: edge (a, b, c) gives a the
     partners b and c and gives b the partner c, so a pair repeats exactly
     when some owner lists a partner twice.  The edges owning pairs by
     their first vertex a come in one run, and every edge giving b a
-    partner comes before b's run, so a list is yielded, and freed, when
-    its owner's run ends; only the partners given to b wait in per-vertex
-    lists, which each chunk fills in one pass of map calls, with no
-    per-edge loop in the interpreter.
+    partner comes before b's run, so an owner is yielded, and its lists
+    freed, when its run ends; only the partners given to b wait, which
+    each chunk appends in one pass of map calls, with no per-edge loop in
+    the interpreter.  They wait in arrays of the narrowest unsigned type
+    that holds n - 1 (plain lists past 64 bits), 2, 4 or 8 bytes a
+    partner; every id is below n, as the chunks hold canonical edges.
     """
-    waiting = defaultdict(list)
-    owner = None
-    listed = []
+    from array import array  # a shared library: loaded only when a walk runs
+
+    code = next((c for c in "HIQ" if n <= 1 << 8 * array(c).itemsize), None)
+    waiting = defaultdict(list if code is None else partial(array, code))
+    append = list.append if code is None else array.append
+    owner, pending, own = None, (), []
     for firsts, seconds, thirds in chunks:
-        deque(map(list.append, map(waiting.__getitem__, seconds), thirds), 0)
+        deque(map(append, map(waiting.__getitem__, seconds), thirds), 0)
         i, k = 0, len(firsts)
         while i < k:
             x = firsts[i]
             j = bisect_right(firsts, x, i)
             if x != owner:
-                if listed:
-                    yield owner, listed
-                owner, listed = x, waiting.pop(x, [])
-            listed += seconds[i:j]
-            listed += thirds[i:j]
+                if own:
+                    yield owner, pending, own
+                owner, pending, own = x, waiting.pop(x, ()), []
+            own += seconds[i:j]
+            own += thirds[i:j]
             i = j
-    if listed:
-        yield owner, listed
-    yield from waiting.items()
+    if own:
+        yield owner, pending, own
+    for x, pending in waiting.items():
+        yield x, pending, ()
 
 
-def _repeats(chunks) -> dict[int, set[int]]:
+def _repeats(n: int, chunks) -> dict[int, set[int]]:
     """Each owner (see _owner_lists) that lists some partner twice, mapped
     to the set of those partners: empty exactly when the edges of the
-    column chunks are linear."""
+    column chunks, on n vertices, are linear."""
     repeats = {}
-    for x, listed in _owner_lists(chunks):
-        if len(set(listed)) != len(listed):
-            repeats[x] = {y for y, k in Counter(listed).items() if k > 1}
+    for x, pending, own in _owner_lists(n, chunks):
+        seen = set(pending)
+        seen.update(own)
+        if len(seen) != len(pending) + len(own):
+            repeats[x] = {y for y, k in Counter(chain(pending, own)).items() if k > 1}
     return repeats
 
 
@@ -224,7 +238,7 @@ def _first_repeat(chunks, repeats) -> tuple[tuple[int, int], int, int] | None:
 
 def is_linear(h: Hypergraph3) -> bool:
     """True when every vertex pair lies in at most one edge (O(m))."""
-    return not _repeats(_edge_chunks(h.edges))
+    return not _repeats(h.n, _edge_chunks(h.edges))
 
 
 def linear_witness(h: Hypergraph3) -> tuple[tuple[int, int], int, int] | None:
@@ -232,7 +246,7 @@ def linear_witness(h: Hypergraph3) -> tuple[tuple[int, int], int, int] | None:
     of the earlier edge holding it and the edge that repeats it; None when
     h is linear.  Within one edge (a, b, c) the pairs count in the order
     (a, b), (a, c), (b, c)."""
-    repeats = _repeats(_edge_chunks(h.edges))
+    repeats = _repeats(h.n, _edge_chunks(h.edges))
     return _first_repeat(_edge_chunks(h.edges), repeats) if repeats else None
 
 
@@ -656,13 +670,11 @@ def _vertex_map(n: int, notes: dict) -> VertexMap | None:
 
 
 def _file_edges(path):
-    """The edges of the .hg3 file at path as column chunks (see _read),
-    read a piece of whole lines at a time with the newline translation of
-    Path.read_text."""
+    """What _read yields for the .hg3 file at path: its vertex count, then
+    its edges as column chunks, read a piece of whole lines at a time with
+    the newline translation of Path.read_text."""
     with open(path, encoding="utf-8") as f:
-        edges = _read(iter(lambda: f.read(_CHUNK_CHARS) + f.readline(), ""))
-        next(edges)  # the vertex count
-        yield from edges
+        yield from _read(iter(lambda: f.read(_CHUNK_CHARS) + f.readline(), ""))
 
 
 def file_linear_witness(path) -> tuple[tuple[int, int], int, int] | None:
@@ -672,5 +684,6 @@ def file_linear_witness(path) -> tuple[tuple[int, int], int, int] | None:
     is read as decode reads it and raises the same FormatError; a file that
     cannot be read raises OSError, and one that is not UTF-8
     UnicodeDecodeError."""
-    repeats = _repeats(_file_edges(path))
-    return _first_repeat(_file_edges(path), repeats) if repeats else None
+    edges = _file_edges(path)
+    repeats = _repeats(next(edges), edges)
+    return _first_repeat(islice(_file_edges(path), 1, None), repeats) if repeats else None

@@ -560,12 +560,9 @@ def _json_documents(text: str) -> list:
     return docs
 
 
-@settings(max_examples=150, deadline=None)
-@given(AUDIT_ARGV)
-def test_audit_commands_keep_the_exit_code_contract(argv):
-    """census, lemma and pascal in-process on valid, boundary and invalid
-    values: every exit is 0, 1 or 2, no other exception escapes main, and
-    stdout is JSON on 0 and 1 and empty on 2."""
+def _assert_exit_code_contract(argv):
+    """Run argv in-process: the exit is 0, 1 or 2, no other exception
+    escapes main, and stdout is JSON on 0 and 1 and empty on 2."""
     import contextlib
     import io
 
@@ -584,3 +581,28 @@ def test_audit_commands_keep_the_exit_code_contract(argv):
     else:
         docs = _json_documents(out.getvalue())
         assert docs and docs[0]["manifest"]["command"] == argv[0], argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(AUDIT_ARGV)
+def test_audit_commands_keep_the_exit_code_contract(argv):
+    """census, lemma and pascal on valid, boundary and invalid values."""
+    _assert_exit_code_contract(argv)
+
+
+@pytest.mark.parametrize("command", [["verify"], ["verify", "--checks", "linear"],
+                                     ["detect", "--find", "core"]])
+@pytest.mark.parametrize("path", ["missing.hg3", "adir", "empty.hg3", ".", "latin1.hg3",
+                                  "truncated.hg3", "golden"])
+def test_file_commands_keep_the_exit_code_contract(tmp_path, monkeypatch, command, path):
+    """verify and detect on paths that are missing, a directory, empty, not
+    UTF-8, cut mid-line and a golden."""
+    golden = (GOLDEN / "base7.hg3").read_text()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "empty.hg3").write_text("")
+    (tmp_path / "latin1.hg3").write_bytes("# café\n".encode("latin-1") + golden.encode())
+    (tmp_path / "truncated.hg3").write_text(golden[:len(golden) // 2])
+    if path == "golden":
+        path = str(GOLDEN / "base7.hg3")
+    _assert_exit_code_contract([*command, "--in", path])

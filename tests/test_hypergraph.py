@@ -136,8 +136,30 @@ def _witness_json(h):
     return None if found is None else {"pair": list(found[0]), "edges": list(found[1:])}
 
 
+def _width_hosts():
+    """Sparse hosts at each bound of the walk's packed partner lists: the
+    affine plane of order 3 (nine points, every pair on exactly one line,
+    so linear) on the ids 0, 1, 2 and top - 5, ..., top, where top is
+    2^k - 1 or 2^k for k = 16, 32, 64 and the header n is top + 1 or
+    top + 2; each host also with the edge (3, top - 1, top) added, which
+    repeats the pair {top - 1, top}."""
+    points = [(i // 3, i % 3) for i in range(9)]
+    plane = {tuple(sorted((i, j, points.index(((-x - u) % 3, (-y - v) % 3)))))
+             for i, (x, y) in enumerate(points) for j, (u, v) in enumerate(points[i + 1:], i + 1)}
+    for k in (16, 32, 64):
+        for top in (2**k - 1, 2**k):
+            ids = [0, 1, 2, *range(top - 5, top + 1)]
+            edges = [tuple(ids[v] for v in e) for e in plane]
+            for n in (top + 1, top + 2):
+                yield Hypergraph3.from_edges(n, edges)
+                yield Hypergraph3.from_edges(n, edges + [(3, top - 1, top)])
+
+
+WIDTH_HOSTS = list(_width_hosts())
+
+
 @pytest.mark.parametrize("edges_per_chunk", [1, 2, 3, 7, 4096])
-def test_linearity_checks_do_not_depend_on_chunk_sizes(monkeypatch, edges_per_chunk):
+def test_linearity_checks_do_not_depend_on_chunk_sizes(monkeypatch, tmp_path, edges_per_chunk):
     # owners' runs and their waiting partner lists cross chunk boundaries
     monkeypatch.setattr(hypergraph, "_CHUNK_EDGES", edges_per_chunk)
     violations = 0
@@ -153,6 +175,17 @@ def test_linearity_checks_do_not_depend_on_chunk_sizes(monkeypatch, edges_per_ch
     for case in CROSS_ROLE_REPEATS:
         h = Hypergraph3.from_edges(11, case + ((6, 7, 8), (6, 9, 10)))
         assert _witness_json(h) == oracles.linear_witness_by_loop(h)
+    # partners packed at every width, and in a plain list past 64 bits
+    path = tmp_path / "h.hg3"
+    for h in WIDTH_HOSTS:
+        expected = oracles.linear_witness_by_loop(h)
+        top = h.edges[-1][2]
+        assert (expected or {}).get("pair") == ([top - 1, top] if h.m == 13 else None), h.n
+        assert is_linear(h) == (expected is None), h.n
+        assert _witness_json(h) == expected, h.n
+        path.write_text(encode(h))
+        found = hypergraph.file_linear_witness(path)
+        assert found == linear_witness(h), h.n
 
 
 def _planted_repeats(h, owners):
@@ -174,10 +207,11 @@ def test_linear_witness_memory_with_a_repeat_past_the_first_chunk(base1009):
         assert {"pair": list(found[0]), "edges": list(found[1:])} == \
             oracles.linear_witness_by_loop(bad)
         assert found[1] > hypergraph._CHUNK_EDGES
-        # 1.4 MiB traced with the partner sets of the repeating owners; 6.4 MiB
-        # on both hosts with edge codes in every owner list, 55.6 MiB with a
-        # dict of pair tuples
-        assert peak <= 4 << 20, peak
+        # 0.6 MiB traced with packed waiting partners and the partner sets of
+        # the repeating owners, 1.4 MiB with a list slot per waiting partner;
+        # 6.4 MiB on both hosts with edge codes in every owner list, 55.6 MiB
+        # with a dict of pair tuples
+        assert peak <= 1 << 20, peak
 
 
 def test_density_and_degrees():
@@ -300,9 +334,12 @@ def test_codec_and_linearity_memory_at_p_1009(base1009):
     assert decoded == h
     assert peak <= 32 << 20, peak
     del decoded
-    linear, peak = _traced_peak(is_linear, h)
-    assert linear
-    assert peak <= 16 << 20, peak
+    # 0.60 MiB for base and 0.74 MiB for qr with packed waiting partners,
+    # 1.37 and 1.83 MiB with a list slot per waiting partner
+    for host in h, build_qr(1009)[0]:
+        linear, peak = _traced_peak(is_linear, host)
+        assert linear
+        assert peak <= 1 << 20, peak
 
 
 def test_line_loop_memory_at_p_1009(base1009):

@@ -34,7 +34,8 @@ from gridfree import (
     hypergraph,
 )
 from gridfree.construct import construction
-from test_hypergraph import BODY_ALPHABET, CROSS_ROLE_REPEATS, ENCODE_PRIMES, _mutate
+from test_hypergraph import (BODY_ALPHABET, CROSS_ROLE_REPEATS, ENCODE_PRIMES, WIDTH_HOSTS,
+                             _mutate)
 
 TIMING = re.compile(r"^gridfree: \d+\.\d{3}s elapsed$")
 RHOS = ((0, 1), (1, 3), (1, 2), (1, 1))
@@ -213,6 +214,12 @@ def test_verify_linear_witnesses_past_the_first_chunk(tmp_path, base211):
         code, out, _ = verify_streamed(path)
         assert code == 1, plant
         assert json.loads(out)["witness"] == oracles.linear_witness_by_loop(bad), plant
+    # ids at each bound of the packed partner lists, linear and with a repeat
+    for host in WIDTH_HOSTS:
+        path.write_text(encode(host))
+        code, out, _ = verify_streamed(path)
+        assert code == (host.m == 13), host.n
+        assert json.loads(out).get("witness") == oracles.linear_witness_by_loop(host), host.n
 
 
 def _body_line(text, k):
@@ -296,16 +303,24 @@ def _outcome(parse, text):
     st.booleans(),
     st.lists(st.integers(0, 10**4), max_size=2),
     st.sampled_from([1, 7, 64]),
+    st.sampled_from([None, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
+    st.booleans(),
 )
 def test_verify_linear_stream_matches_decode(tmp_path_factory, seed, n_extra, m, comments,
-                                             edits, drop_newline, bad_bytes, chunk):
+                                             edits, drop_newline, bad_bytes, chunk, top, wider):
     # mutations of the comments, the header and the body, a dropped final
     # newline, planted bytes that are not UTF-8 and lone CRs, at chunk sizes
-    # that cut the text into one or a few lines per chunk
+    # that cut the text into one or a few lines per chunk; with a top, the
+    # three largest ids move up to end at it, and the header n is top + 1
+    # or top + 2, across each bound of the walk's packed partner lists
     rng = random.Random(seed)
     n = 3 + n_extra
     m = min(m, n * (n - 1) * (n - 2) // 6)
     h = oracles.random_hypergraph(rng, n, m) if m else Hypergraph3(n, ())
+    if top is not None:
+        shift = top + 1 - n
+        h = Hypergraph3(top + 1 + wider, tuple(tuple(v + shift * (v >= n - 3) for v in e)
+                                               for e in h.edges))
     text = _mutate("".join(f"{c}\n" for c in comments) + encode(h), edits)
     if drop_newline:
         text = text[:-1]
@@ -369,13 +384,23 @@ def base1009():
     return build_base(1009)
 
 
+# Traced peaks of the file stream with packed waiting partners, then with a
+# list slot per waiting partner: base 1.50 and 2.23 MiB, qr 1.41 and 2.52 MiB,
+# random 1.20 and 1.77 MiB (Python 3.11).  Reading the file whole took
+# 26.9 MiB for base.
 def test_verify_linear_memory_at_p_1009(tmp_path, base1009):
-    path = tmp_path / "base1009.hg3"
-    path.write_text(encode(*base1009[:2]))
-    argv = ["verify", "--checks", "linear", "--in", str(path)]
-    (code, _, _, decoded), peak = _traced_peak(main, argv)
-    assert (code, decoded) == (0, 0)
-    assert peak <= 8 << 20, peak  # 2.8 MiB; 26.9 MiB reading the file whole
+    for kind, mib in ("base", 2), ("qr", 2), ("random", 1.5):
+        path = tmp_path / f"{kind}1009.hg3"
+        if kind == "base":
+            path.write_text(encode(*base1009[:2]))
+        elif kind == "qr":
+            path.write_text(encode(*build_qr(1009)[:2]))
+        else:
+            path.write_text(encode(*build_random(1009, 1, 2, 3)[:2]))
+        argv = ["verify", "--checks", "linear", "--in", str(path)]
+        (code, _, _, decoded), peak = _traced_peak(main, argv)
+        assert (code, decoded) == (0, 0), kind
+        assert peak <= mib * 2**20, (kind, peak)
 
 
 def test_verify_linear_lenient_line_memory_at_p_1009(tmp_path, base1009):
@@ -407,7 +432,8 @@ def test_verify_linear_witness_memory_at_p_1009(tmp_path, base1009):
         (code, out, _, decoded), peak = _traced_peak(main, argv)
         assert (code, decoded) == (1, 0)
         assert json.loads(out)["witness"] == oracles.linear_witness_by_loop(bad)
-        # 2.9 MiB with --checks linear, 2.7 MiB by default; 7.8 and 22.7 MiB
-        # with edge codes in every owner list and a decode ahead of the
-        # default checks, 73.2 MiB reading the file whole for linear
-        assert peak <= 4 << 20, peak
+        # 1.5 MiB with --checks linear, 1.3 MiB by default; 2.2 and 2.1 MiB
+        # with a list slot per waiting partner, 7.8 and 22.7 MiB with edge
+        # codes in every owner list and a decode ahead of the default checks,
+        # 73.2 MiB reading the file whole for linear
+        assert peak <= 2 << 20, peak
