@@ -17,6 +17,11 @@ decodes the whole file only when it reaches the first detector check, so
 a failed linearity check ahead of the detectors never decodes it.  Every
 file, irregular or unreadable, is reported as decode on its whole text
 would report it.
+
+Only --rho's parser and the library functions that build a Fraction
+(lemma's and the densities) import fractions, so only `lemma` and
+`construct random` load it; the construct report's density is reduced
+with gcd.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
 from pathlib import Path
@@ -122,6 +126,8 @@ def _prime_at_least(minimum: int, budget: int | None = None):
 
 
 def _rho(text: str) -> Fraction:
+    from fractions import Fraction  # it imports decimal: loaded only when a rational is built
+
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from fractions import Fraction
+from math import gcd
 
 from .ffield import check_prime, chi_table, legendre, min_sqrt_table
 from .hypergraph import Hypergraph3, VertexInfo, VertexMap
@@ -82,6 +82,8 @@ class ConstructionReport(Record):
 
     @property
     def density(self) -> Fraction:
+        from fractions import Fraction  # it imports decimal: loaded only when a rational is built
+
         return Fraction(self.m, self.n * self.n)
 
     @property
@@ -95,14 +97,15 @@ class ConstructionReport(Record):
         return self.p * (self.p - self.chi_minus_1) // 4
 
     def to_json_dict(self) -> dict:
-        density = self.density
+        nn = self.n * self.n
+        g = gcd(self.m, nn)  # density m/n^2 in lowest terms, as Fraction would give it
         return {
             "p": self.p,
             "kind": self.kind,
             "n": self.n,
             "m": self.m,
-            "density_num": density.numerator,
-            "density_den": density.denominator,
+            "density_num": self.m // g,
+            "density_den": nn // g,
             "chi_minus_1": self.chi_minus_1,
             "predicted_m": self.predicted_m,
             "two_point_secants": self.two_point_secants,
@@ -301,6 +304,8 @@ def build_qr(p: int) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
 def density_ratio(rho) -> Fraction:
     """Asymptotic density multiplier of the random thinning as an exact
     rational: (2*rho - rho^2) / (4 * (1 + rho)^2) for rho in [0, 1]."""
+    from fractions import Fraction  # it imports decimal: loaded only when a rational is built
+
     r = Fraction(rho)
     if not 0 <= r <= 1:
         raise ValueError(f"rho must lie in [0, 1], got {r}")

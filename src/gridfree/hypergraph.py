@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, defaultdict, deque
-from fractions import Fraction
 from functools import partial
 from itertools import chain, islice
 from operator import itemgetter, lt
@@ -254,6 +253,8 @@ def density(h: Hypergraph3) -> Fraction:
     """Edge density m / n^2 as an exact rational."""
     if h.n == 0:
         raise ValueError("density undefined for an empty vertex set")
+    from fractions import Fraction  # it imports decimal: loaded only when a rational is built
+
     return Fraction(len(h.edges), h.n * h.n)
 
 

@@ -5,12 +5,13 @@ S of [N], the expected number of pairs hit (pair intersecting S) is
 |H| * (1 - C(N-2, k)/C(N, k)), exactly.  With k = floor(N/2) and
 |H| = C(N,2)/2 this becomes (2kN - k^2 - k)/4, whose ceiling some subset
 must attain; the ceiling gap normalized by (N+k)^2 stays below 4/(9 N^2).
-Everything here is integer or Fraction arithmetic, no floats.
+Everything here is integer or Fraction arithmetic, no floats.  Each
+function that builds a Fraction imports fractions itself, so importing
+this module does not load it, nor decimal and numbers with it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb
 
@@ -62,6 +63,8 @@ class LemmaInstance(Record):
 
 def expected_coverage(N: int, k: int, H) -> Fraction:
     """Expected number of pairs of H hit by a uniform random k-subset."""
+    from fractions import Fraction  # it imports decimal: loaded only when a rational is built
+
     inst = LemmaInstance(N, k, tuple(H))
     miss = Fraction(comb(N - 2, k), comb(N, k))
     return len(inst.H) * (1 - miss)
@@ -71,6 +74,8 @@ def exhaustive_average(N: int, k: int, H) -> Fraction:
     """expected_coverage(N, k, H) by brute force: the mean over every
     k-subset of [N] of |H| less the pairs inside its complement, counted on
     bitmasks that hold each pair (a, b) as bit b of later[a]."""
+    from fractions import Fraction  # it imports decimal: loaded only when a rational is built
+
     inst = LemmaInstance(N, k, tuple(H))
     later = [0] * N
     for a, b in inst.H:
@@ -87,6 +92,8 @@ def half_family_expectation(N: int) -> Fraction:
     any exact half family H, |H| = C(N, 2)/2."""
     if N < 2:
         raise ValueError(f"N must be at least 2, got {N}")
+    from fractions import Fraction  # it imports decimal: loaded only when a rational is built
+
     k = N // 2
     return Fraction(2 * k * N - k * k - k, 4)
 
@@ -145,6 +152,8 @@ def delta_check(N: int) -> tuple[Fraction, bool]:
     """The normalized ceiling gap delta_N = (ceil(E) - E) / (N+k)^2 with
     k = floor(N/2), E = half_family_expectation(N), and whether it
     satisfies delta_N <= 4 / (9 N^2)."""
+    from fractions import Fraction  # it imports decimal: loaded only when a rational is built
+
     expectation = half_family_expectation(N)
     delta = (ceil(expectation) - expectation) / (N + N // 2) ** 2
     return delta, delta <= Fraction(4, 9 * N * N)

@@ -463,11 +463,75 @@ def _loaded_modules(code, cwd):
     return set(proc.stdout.split())
 
 
+# fractions brings decimal, its shared library and numbers into a child; the
+# functions that build a Fraction import it themselves
+RATIONALS = {"fractions", "decimal", "numbers"}
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
     bare = _loaded_modules("pass", tmp_path)
     cli = _loaded_modules("import gridfree.cli", tmp_path)
     assert "gridfree.cli" in cli and "gridfree.geometry" in cli
     assert {"dataclasses", "inspect"} & (cli - bare) == set()
+    assert RATIONALS & (cli - bare) == set()
+    assert RATIONALS & (_loaded_modules("import gridfree", tmp_path) - bare) == set()
+
+
+@pytest.mark.parametrize("argv,rational", [
+    (["verify", "--in", "base23.hg3"], False),
+    (["detect", "--in", "base23.hg3", "--find", "core"], False),
+    (["construct", "base", "--p", "23"], False),
+    (["construct", "qr", "--p", "23"], False),
+    (["census", "--p", "5..13"], False),
+    (["pascal", "--p", "7", "--samples", "3"], False),
+    (["lemma", "--N", "2..4"], True),
+    (["construct", "random", "--p", "23", "--rho", "1/2", "--seed", "1"], True),
+])
+def test_only_commands_that_build_a_rational_import_fractions(argv, rational, tmp_path):
+    from gridfree import cli
+
+    assert cli.main(["construct", "base", "--p", "23", "--out", str(tmp_path / "base23.hg3")]) == 0
+    bare = _loaded_modules("pass", tmp_path)
+    loaded = _loaded_modules("import io, sys\nfrom gridfree import cli\n"
+                             "out, sys.stdout = sys.stdout, io.StringIO()\n"
+                             f"assert cli.main({argv!r}) in (0, 1)\nsys.stdout = out", tmp_path)
+    assert "gridfree.cli" in loaded
+    assert RATIONALS & (loaded - bare) == (RATIONALS if rational else set())
+
+
+RHO_ACCEPTED = [("1/2", "1/2"), ("2/4", "1/2"), ("0.5", "1/2"), ("0", "0"), ("1", "1")]
+RHO_REFUSED = [
+    (["--rho", "3/2"], "rho must lie in [0, 1], got 3/2"),
+    (["--rho", "1/0"], "'1/0' is not a rational (use num/den)"),
+    (["--rho", "x"], "'x' is not a rational (use num/den)"),
+    (["--rho=-1/2"], "rho must lie in [0, 1], got -1/2"),
+    (["--rho", "-1/2"], "expected one argument"),
+]
+
+
+@pytest.mark.parametrize("text,shown", RHO_ACCEPTED)
+def test_rho_is_an_exact_rational(text, shown, capsys):
+    from fractions import Fraction
+
+    from gridfree import cli
+
+    argv = ["construct", "random", "--p", "7", "--rho", text, "--seed", "1"]
+    rho = cli.build_parser().parse_args(argv).rho
+    assert type(rho) is Fraction and rho == Fraction(shown)
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["parameters"]["rho"] == shown
+
+
+@pytest.mark.parametrize("flag,why", RHO_REFUSED)
+def test_bad_rho_is_a_usage_error(flag, why, capsys):
+    from gridfree import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", "random", "--p", "7", *flag, "--seed", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"gridfree construct: error: argument --rho: {why}"
 
 
 def test_package_exports_each_module_name_once():
@@ -562,7 +626,8 @@ def _json_documents(text: str) -> list:
 
 def _assert_exit_code_contract(argv):
     """Run argv in-process: the exit is 0, 1 or 2, no other exception
-    escapes main, and stdout is JSON on 0 and 1 and empty on 2."""
+    escapes main, and stdout is JSON on 0 and 1 and empty on 2.  Returns
+    the exit code."""
     import contextlib
     import io
 
@@ -581,6 +646,7 @@ def _assert_exit_code_contract(argv):
     else:
         docs = _json_documents(out.getvalue())
         assert docs and docs[0]["manifest"]["command"] == argv[0], argv
+    return code
 
 
 @settings(max_examples=150, deadline=None)
@@ -606,3 +672,78 @@ def test_file_commands_keep_the_exit_code_contract(tmp_path, monkeypatch, comman
     if path == "golden":
         path = str(GOLDEN / "base7.hg3")
     _assert_exit_code_contract([*command, "--in", path])
+
+
+# every path case of a file argument: two goldens, missing, a directory,
+# empty, the cwd, not UTF-8, cut mid-line, and inside a missing directory
+PATHS = ["base5.hg3", "base7.hg3", "missing.hg3", "adir", "empty.hg3", ".", "latin1.hg3",
+         "truncated.hg3", "nodir/x.hg3"]
+FILE_ARGV = {
+    # the drawn kind goes in after the command name
+    "construct": st.tuples(st.sampled_from(["base", "qr", "random"]), _with_flags(
+        "construct",
+        # a composite, and the least prime past MAX_CONSTRUCT_P
+        p=st.sampled_from([None, "5", "7", "9", "20011"]),
+        rho=st.sampled_from([None, *(text for text, _ in RHO_ACCEPTED), "3/2", "1/0", "x",
+                             "-1/2"]),
+        seed=st.sampled_from([None, "0", "1", "-1", "x"]),
+        out=st.sampled_from([None, *PATHS, "out.hg3", "adir/out.hg3", "out.report.json"]),
+    )).map(lambda t: [t[1][0], t[0], *t[1][1:]]),
+    "verify": _with_flags("verify", **{
+        "in": st.sampled_from([None, *PATHS]),
+        "checks": st.sampled_from([None, "", ",", "linear", "bogus", "linear,linear",
+                                   "gridfree,linear,gridfree", "prismfree,corefree9", "linear,"]),
+    }),
+    "detect": _with_flags("detect", **{
+        "in": st.sampled_from([None, *PATHS]),
+        "find": st.sampled_from([None, "grid", "prism", "core", "x"]),
+        "max-vertices": st.sampled_from([None, "4", "9", "10", "3", "x"]),
+    }),
+}
+
+
+def _tree(root: Path) -> dict:
+    """Each file under root, by relative path, with its bytes."""
+    return {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+
+
+@pytest.mark.parametrize("command", FILE_ARGV)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_file_commands_keep_the_exit_code_contract_on_any_flags(command, data):
+    """construct, verify and detect on valid, boundary and invalid flag
+    values and every path case, in a fresh directory: the exit code
+    contract holds, and the directory ends up holding only what it held
+    plus, after a construct --out that exits 0, the instance and its report."""
+    import os
+    import tempfile
+
+    from gridfree import decode
+
+    argv = data.draw(FILE_ARGV[command])
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "adir").mkdir()
+        for name in ("base5.hg3", "base7.hg3"):
+            (root / name).write_bytes((GOLDEN / name).read_bytes())
+        golden = (GOLDEN / "base7.hg3").read_text()
+        (root / "empty.hg3").write_text("")
+        (root / "latin1.hg3").write_bytes("# café\n".encode("latin-1") + golden.encode())
+        (root / "truncated.hg3").write_text(golden[:len(golden) // 2])
+        before = _tree(root)
+        os.chdir(root)
+        try:
+            code = _assert_exit_code_contract(argv)
+        finally:
+            os.chdir(cwd)
+        after = _tree(root)
+    written = set()
+    if code == 0 and argv[0] == "construct" and "--out" in argv:
+        out = argv[argv.index("--out") + 1]
+        report = str(Path(out).with_suffix(".report.json"))
+        written = {out, report}
+        decode(after[out].decode())
+        assert json.loads(after[report])["manifest"]["outputs"] == [out, report]
+    assert set(after) == set(before) | written, argv
+    assert all(after[name] == body for name, body in before.items() if name not in written), argv

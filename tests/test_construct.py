@@ -21,6 +21,7 @@ from gridfree import (
     secant_line,
 )
 from gridfree.construct import GENERATOR, SELECTION_RULE, construction, select_subset
+from gridfree.hypergraph import count_edges
 
 BASE5_EDGES = ((0, 2, 6), (0, 3, 9), (1, 3, 7), (1, 4, 5), (2, 4, 8))
 BASE7_EDGES = (
@@ -275,6 +276,30 @@ def test_report_invariants():
     with pytest.raises(ArithmeticError):
         ConstructionReport(p=5, kind="base", n=10, m=6, two_point_secants=0,
                            selection_size=None, seed=None)
+
+
+@pytest.mark.parametrize("kind,params", [
+    *((kind, (p,)) for kind in ("base", "qr") for p in (5, 7, 13, 101, 1009)),
+    ("random", (13, 0, 1, 7)), ("random", (13, 1, 2, 7)), ("random", (13, 1, 1, 7)),
+])
+def test_report_density_is_m_over_n_squared_in_lowest_terms(kind, params):
+    # to_json_dict reduces m/n^2 with gcd, without a Fraction; this is the
+    # Fraction it must agree with, m = 0 giving 0/1
+    vmap, chunks, report = construction(kind, *params)
+    rep = report(count_edges(len(vmap), chunks))
+    d = rep.to_json_dict()
+    want = Fraction(rep.m, rep.n * rep.n)
+    assert (d["density_num"], d["density_den"]) == (want.numerator, want.denominator)
+    assert type(rep.density) is Fraction and rep.density == want
+    if params[1:2] == (0,):
+        assert (rep.m, d["density_num"], d["density_den"]) == (0, 0, 1)
+
+
+def test_densities_are_fractions():
+    h, _, _ = build_base(7)
+    assert type(density(h)) is Fraction
+    for rho in (0, 1, Fraction(1, 2), "1/3"):
+        assert type(density_ratio(rho)) is Fraction
 
 
 def test_generator_constants_documented():

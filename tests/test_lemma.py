@@ -65,6 +65,13 @@ def test_delta_values_and_bound():
         assert 0 <= delta <= Fraction(4, 9 * n * n)
 
 
+def test_lemma_results_are_fractions():
+    fam = ((0, 1), (2, 3), (0, 2))
+    for value in (expected_coverage(4, 2, fam), expected_coverage(4, 0, fam),
+                  exhaustive_average(4, 2, fam), half_family_expectation(4), delta_check(3)[0]):
+        assert type(value) is Fraction
+
+
 def test_exact_half_instances_attain_the_bound():
     for n in (4, 5, 8, 9, 12, 13):
         for seed in range(5):
