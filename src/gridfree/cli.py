@@ -79,11 +79,10 @@ MAX_LEMMA_N = 500
 MAX_PASCAL_SAMPLES = 1_000_000
 
 
-def _print_json(obj, pretty: bool) -> None:
+def _json(obj, pretty: bool) -> str:
     if pretty:
-        print(json.dumps(obj, indent=2))
-    else:
-        print(json.dumps(obj, separators=(",", ":")))
+        return json.dumps(obj, indent=2)
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def _manifest(command: str, parameters: dict, seed=None, inputs=(), outputs=(), **extra) -> dict:
@@ -258,19 +257,17 @@ def cmd_construct(args) -> int:
     )
     payload = {"manifest": manifest, "report": report.to_json_dict()}
     if args.out is not None:
-        body = json.dumps(payload, indent=2 if args.pretty else None,
-                          separators=None if args.pretty else (",", ":"))
         try:
-            _write_replacing(report_path, [body, "\n"])
+            _write_replacing(report_path, [_json(payload, args.pretty), "\n"])
         except OSError as exc:
             print(f"cannot write {report_path}: {exc.strerror}", file=sys.stderr)
             return EXIT_USAGE
-    _print_json(payload, args.pretty)
+    print(_json(payload, args.pretty))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    requested = args.checks.split(",") if args.checks else list(CHECK_NAMES)
+    requested = list(CHECK_NAMES) if args.checks is None else args.checks.split(",")
     for name in requested:
         if name not in CHECK_NAMES:
             print(f"unknown check {name!r}; pick from {', '.join(CHECK_NAMES)}", file=sys.stderr)
@@ -301,12 +298,12 @@ def cmd_verify(args) -> int:
                 witness = {"pair": list(pair), "edges": [first, second]}
             else:
                 witness = found.to_json_dict()
-            _print_json(
+            print(_json(
                 {"manifest": manifest, "ok": False, "failed": name, "witness": witness},
                 args.pretty,
-            )
+            ))
             return EXIT_VIOLATION
-    _print_json({"manifest": manifest, "ok": True, "checks": requested}, args.pretty)
+    print(_json({"manifest": manifest, "ok": True, "checks": requested}, args.pretty))
     return EXIT_OK
 
 
@@ -319,7 +316,7 @@ def cmd_census(args) -> int:
         parameters={"p": f"{lo}..{hi}"},
         skipped=skipped,
     )
-    _print_json({"manifest": manifest}, args.pretty)
+    print(_json({"manifest": manifest}, args.pretty))
     for p in primes:
         gauss = gauss_sum_check(p)
         if gauss != -1:
@@ -333,7 +330,7 @@ def cmd_census(args) -> int:
         if not rec.consistent:
             print(f"reciprocity failed at p={p}", file=sys.stderr)
             return EXIT_VIOLATION
-        _print_json(secant_census(p).to_json_dict(), args.pretty)
+        print(_json(secant_census(p).to_json_dict(), args.pretty))
     return EXIT_OK
 
 
@@ -350,7 +347,7 @@ def _lemma_family(N: int, seed: int):
 def cmd_lemma(args) -> int:
     lo, hi = args.N
     manifest = _manifest(command="lemma", parameters={"N": f"{lo}..{hi}"}, seed=args.seed)
-    _print_json({"manifest": manifest}, args.pretty)
+    print(_json({"manifest": manifest}, args.pretty))
     for N in range(lo, hi + 1):
         k = N // 2
         expectation = half_family_expectation(N)
@@ -386,7 +383,7 @@ def cmd_lemma(args) -> int:
             "best_coverage": best_cov,
             "best_subset": list(best_set) if best_set is not None else None,
         }
-        _print_json(record, args.pretty)
+        print(_json(record, args.pretty))
     return EXIT_OK
 
 
@@ -400,7 +397,7 @@ def cmd_pascal(args) -> int:
             failures.append({"sample": i, "xs": list(xs)})
     manifest = _manifest(command="pascal", parameters={"p": args.p, "samples": args.samples},
                          seed=args.seed)
-    _print_json(
+    print(_json(
         {
             "manifest": manifest,
             "p": args.p,
@@ -409,7 +406,7 @@ def cmd_pascal(args) -> int:
             "failures": failures,
         },
         args.pretty,
-    )
+    ))
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
@@ -429,7 +426,7 @@ def cmd_detect(args) -> int:
         parameters={"find": args.find, "max_vertices": args.max_vertices},
         inputs=[args.infile],
     )
-    _print_json(
+    print(_json(
         {
             "manifest": manifest,
             "find": args.find,
@@ -437,7 +434,7 @@ def cmd_detect(args) -> int:
             "witness": witness.to_json_dict() if witness is not None else None,
         },
         args.pretty,
-    )
+    ))
     return EXIT_OK
 
 
@@ -455,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--rho", type=_rho, default=None, help="inclusion probability num/den")
     p_con.add_argument("--seed", type=_seed, default=None)
     p_con.add_argument("--out", default=None, help="write .hg3 here plus a sibling .report.json")
-    p_con.add_argument("--pretty", action="store_true")
     p_con.set_defaults(func=cmd_construct)
 
     p_ver = sub.add_parser("verify", help="run structural checks on a .hg3 file")
@@ -465,20 +461,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"comma-separated subset of {','.join(CHECK_NAMES)} (default all)",
     )
-    p_ver.add_argument("--pretty", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 
     p_cen = sub.add_parser("census", help="secant census and character-sum audit")
     p_cen.add_argument("--p", type=_int_range(3, MAX_CENSUS_P), required=True,
                        metavar="LO..HI", help="HI at most %d (work budget)" % MAX_CENSUS_P)
-    p_cen.add_argument("--pretty", action="store_true")
     p_cen.set_defaults(func=cmd_census)
 
     p_lem = sub.add_parser("lemma", help="coverage expectations and bounds")
     p_lem.add_argument("--N", type=_int_range(2, MAX_LEMMA_N), required=True,
                        metavar="LO..HI", help="HI at most %d (work budget)" % MAX_LEMMA_N)
     p_lem.add_argument("--seed", type=_seed, default=0)
-    p_lem.add_argument("--pretty", action="store_true")
     p_lem.set_defaults(func=cmd_lemma)
 
     p_pas = sub.add_parser("pascal", help="random hexagon collinearity audit")
@@ -486,16 +479,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_pas.add_argument("--samples", type=_int_between(1, budget=MAX_PASCAL_SAMPLES),
                        default=1000, help="at most %d (work budget)" % MAX_PASCAL_SAMPLES)
     p_pas.add_argument("--seed", type=_seed, default=0)
-    p_pas.add_argument("--pretty", action="store_true")
     p_pas.set_defaults(func=cmd_pascal)
 
     p_det = sub.add_parser("detect", help="hunt one configuration in a .hg3 file")
     p_det.add_argument("--in", dest="infile", required=True)
     p_det.add_argument("--find", choices=("grid", "prism", "core"), required=True)
     p_det.add_argument("--max-vertices", type=_int_between(4, 10), default=9)
-    p_det.add_argument("--pretty", action="store_true")
     p_det.set_defaults(func=cmd_detect)
 
+    for command in sub.choices.values():
+        command.add_argument("--pretty", action="store_true")
     return parser
 
 
@@ -528,7 +521,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

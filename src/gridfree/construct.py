@@ -18,14 +18,15 @@ a + d meets V2 at a + lo and a + hi, offsets that depend on d alone, so
 every builder reads one table keyed on d (_secant_offsets): p
 character/root lookups instead of p^2/2.  qr reads it from its squares,
 since each V2 pair lies on the secant (or, for d = 0, the tangent)
-through the square it picks.  One sweep (_Sweep) yields the edges in
-canonical order, one row of plain int columns per first vertex, which
-construction() hands out as a stream: the `construct` command counts it
-or writes it straight to its `--out` file, and the build_* functions
-collect it into a Hypergraph3.  Provenance is each vertex's origin and
-its point (x, x^2 + t) as residues mod p.  The geometry module
-recomputes the incidences one secant at a time and tests/oracles.py
-pair by pair, and the tests cross-check all three routes.
+through the square it picks.  One row generator (_secant_rows, or
+_square_rows for qr) yields the edges in canonical order, one row of
+plain int columns per first vertex, which construction() hands out as a
+stream: the `construct` command counts it or writes it straight to its
+`--out` file, and the build_* functions collect it into a Hypergraph3.
+Provenance is each vertex's origin and its point (x, x^2 + t) as
+residues mod p.  The geometry module recomputes the incidences one
+secant at a time and tests/oracles.py pair by pair, and the tests
+cross-check all three routes.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ __all__ = [
     "count_two_point_secants",
     "density_ratio",
 ]
-
-# Tie-break when a secant offers two third points: keep the smaller x.
-SELECTION_RULE = "smaller-x"
-# Seeded sampling backend recorded in reports; see rng.splitmix64_stream.
-GENERATOR = "splitmix64"
-
 
 class ConstructionReport(Record):
     """What was counted for one built instance; the rest is derived.
@@ -151,73 +146,58 @@ def _secant_offsets(pv: int) -> list[tuple[int, int, int]]:
     return table
 
 
-class _Sweep:
-    """The rows of _secant_offsets' table as edges in canonical order:
-    columns ([a] * k, [b ...], [c ...]) of vertex ids, one row per V1
-    vertex a, ascending in b.  two_point counts the secants read with two
-    candidate points in the pool, the kept x's ascending.
-
-    Base and random: V1's point a is vertex a and the pool's k-th point of
-    V2 is vertex p + k.  Row a takes each a + d < p whose secant meets V2
-    in the pool, with its smaller candidate.  by_square (qr): the pool is
-    V1's squares S, pool[k] is vertex k and V2's point x is vertex |S| + x.
-    Row k takes the V2 pair {s + lo, s + hi}, s = pool[k], of each table
-    row with lo != hi unless s + d is a smaller square.  The line through
-    s and one V2 point fixes the other, so each smaller V2 id occurs once.
+def _secant_rows(pv: int, table, ids, out: int, two_point: list[int]):
+    """Base and random: the edges in canonical order as columns ([a] * k,
+    [b ...], [c ...]) of vertex ids, one row per V1 vertex a, ascending in
+    b.  V1's point a is vertex a and the pool's k-th point of V2 is vertex
+    p + k; ids[x] is the pool vertex at x mod p, or out.  Row a takes each
+    a + d < p whose secant meets V2 in the pool, with its smaller
+    candidate; two_point[0] counts the secants with both candidates in the
+    pool.
     """
+    ds = [d for d, _, _ in table]
+    start = bisect_left(ds, 1)  # the tangent at a (d = 0) has no second V1 point
+    line = list(range(pv))  # the V1 ids, one shared int each
+    for a in range(pv):
+        seconds, thirds = [], []
+        both = 0
+        for d, lo, hi in table[start: bisect_left(ds, pv - a)]:
+            u, v = ids[a + lo], ids[a + hi]
+            if v < u:
+                u, v = v, u
+            if u < out:
+                seconds.append(line[a + d])
+                thirds.append(u)
+                if u < v < out:
+                    both += 1
+        two_point[0] += both
+        yield [line[a]] * len(seconds), seconds, thirds
 
-    def __init__(self, pv: int, pool: Sequence[int], by_square: bool):
-        self.pv, self.pool, self.by_square = pv, pool, by_square
-        self.two_point = 0
 
-    def __iter__(self):
-        pv, pool = self.pv, self.pool
-        first = 0 if self.by_square else pv  # the pool's first vertex id
-        out = first + len(pool)  # above every pool id: x is not in the pool
-        ids = [out] * pv
-        for rank, x in enumerate(pool):
-            ids[x] = first + rank
-        ids += ids  # ids[a + lo] for a + lo < 2p, without reducing mod p
-        rows = self._square_rows if self.by_square else self._secant_rows
-        return rows(_secant_offsets(pv), ids, out)
-
-    def _secant_rows(self, table, ids, out):
-        pv = self.pv
-        ds = [d for d, _, _ in table]
-        start = bisect_left(ds, 1)  # the tangent at a (d = 0) has no second V1 point
-        line = list(range(pv))  # the V1 ids, one shared int each
-        for a in range(pv):
-            seconds, thirds = [], []
-            two_point = 0
-            for d, lo, hi in table[start: bisect_left(ds, pv - a)]:
-                u, v = ids[a + lo], ids[a + hi]
-                if v < u:
-                    u, v = v, u
-                if u < out:
-                    seconds.append(line[a + d])
-                    thirds.append(u)
-                    if u < v < out:
-                        two_point += 1
-            self.two_point += two_point
-            yield [line[a]] * len(seconds), seconds, thirds
-
-    def _square_rows(self, table, ids, out):
-        v2 = list(range(out, out + self.pv)) * 2  # V2's ids, one shared int each
-        pairs = [row for row in table if row[1] != row[2]]
-        for k, s in enumerate(self.pool):
-            row = {}
-            for d, lo, hi in pairs:
-                t = ids[s + d]
-                if t < k:
-                    continue
-                if k < t < out:
-                    self.two_point += 1
-                u, v = v2[s + lo], v2[s + hi]
-                if v < u:
-                    u, v = v, u
-                row[u] = v
-            seconds = sorted(row)
-            yield [k] * len(seconds), seconds, list(map(row.__getitem__, seconds))
+def _square_rows(pv: int, table, ids, out: int, two_point: list[int], pool: Sequence[int]):
+    """qr: the same columns with V1's squares S as the pool, pool[k] vertex
+    k and V2's point x vertex |S| + x.  Row k takes the V2 pair {s + lo,
+    s + hi}, s = pool[k], of each table row with lo != hi unless s + d is
+    a smaller square; two_point[0] counts the lines with two candidate
+    squares, once each, at the smaller.  The line through s and one V2
+    point fixes the other, so each smaller V2 id occurs once.
+    """
+    v2 = list(range(out, out + pv)) * 2  # V2's ids, one shared int each
+    pairs = [row for row in table if row[1] != row[2]]
+    for k, s in enumerate(pool):
+        row = {}
+        for d, lo, hi in pairs:
+            t = ids[s + d]
+            if t < k:
+                continue
+            if k < t < out:
+                two_point[0] += 1
+            u, v = v2[s + lo], v2[s + hi]
+            if v < u:
+                u, v = v, u
+            row[u] = v
+        seconds = sorted(row)
+        yield [k] * len(seconds), seconds, list(map(row.__getitem__, seconds))
 
 
 def construction(kind: str, p: int, rho_num: int | None = None, rho_den: int | None = None,
@@ -243,15 +223,23 @@ def construction(kind: str, p: int, rho_num: int | None = None, rho_den: int | N
         points += [VertexInfo(origin, x, (x * x + 1) % pv) for x in pool]
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    sweep = _Sweep(pv, pool, kind == "qr")
+    first = 0 if kind == "qr" else pv  # the pool's first vertex id
+    out = first + len(pool)  # above every pool id: x is not in the pool
+    ids = [out] * pv
+    for rank, x in enumerate(pool):
+        ids[x] = first + rank
+    ids += ids  # ids[a + lo] for a + lo < 2p, without reducing mod p
+    two_point = [0]
+    args = (pv, _secant_offsets(pv), ids, out, two_point)
+    rows = _square_rows(*args, pool) if kind == "qr" else _secant_rows(*args)
     selection_size = None if kind == "base" else len(pool)
     vmap = VertexMap(pv, points)
 
     def report(m: int) -> ConstructionReport:
-        return ConstructionReport(pv, kind, len(vmap), m, sweep.two_point, selection_size,
+        return ConstructionReport(pv, kind, len(vmap), m, two_point[0], selection_size,
                                   seed if kind == "random" else None)
 
-    return vmap, iter(sweep), report
+    return vmap, rows, report
 
 
 def _built(vmap: VertexMap, chunks, report) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:

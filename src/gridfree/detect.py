@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from .hypergraph import Hypergraph3, degrees
+from .hypergraph import Hypergraph3
 from .record import Record
 
 __all__ = [
@@ -243,12 +243,12 @@ def two_core(h: Hypergraph3) -> Hypergraph3:
     hypergraph of minimum degree >= 2 (possibly with zero vertices).
     Peeling is confluent, so the removal order cannot matter."""
     h = _covered(h)  # isolated vertices are peeled anyway
-    deg = degrees(h)
     alive = [True] * len(h.edges)
     incident: list[list[int]] = [[] for _ in range(h.n)]
     for ei, e in enumerate(h.edges):
         for v in e:
             incident[v].append(ei)
+    deg = [len(es) for es in incident]
     stack = [v for v in range(h.n) if deg[v] <= 1]
     while stack:
         v = stack.pop()
@@ -262,12 +262,13 @@ def two_core(h: Hypergraph3) -> Hypergraph3:
                     stack.append(u)
     kept = [v for v in range(h.n) if deg[v] >= 2]
     relabel = {v: i for i, v in enumerate(kept)}
+    # increasing relabelling of edges kept in order: already canonical
     edges = [
         (relabel[a], relabel[b], relabel[c])
         for ei, (a, b, c) in enumerate(h.edges)
         if alive[ei]
     ]
-    return Hypergraph3.from_edges(len(kept), edges)
+    return Hypergraph3(len(kept), edges)
 
 
 def find_small_two_core(h: Hypergraph3, max_vertices: int = 9) -> CoreWitness | None:

@@ -65,7 +65,6 @@ __all__ = [
     "linear_witness",
     "density",
     "degrees",
-    "min_degree",
     "encode",
     "decode",
     "decode_with_provenance",
@@ -265,13 +264,6 @@ def degrees(h: Hypergraph3) -> list[int]:
         for v in e:
             deg[v] += 1
     return deg
-
-
-def min_degree(h: Hypergraph3) -> int:
-    """Minimum degree over all n vertices, isolated ones included."""
-    if h.n == 0:
-        raise ValueError("min degree undefined for an empty vertex set")
-    return min(degrees(h))
 
 
 class VertexInfo(Record):

@@ -283,9 +283,9 @@ def test_unknown_check_is_reported_before_the_input_is_read(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "decode", unread)
     monkeypatch.setattr(cli, "file_linear_witness", unread)
     (tmp_path / "h.hg3").write_text("3 1\n0 1 2\n")
-    for checks in ("linear,nope", "nope", "gridfree,,linear"):
+    for checks in ("linear,nope", "nope", "gridfree,,linear", ""):
         assert cli.main(["verify", "--in", str(tmp_path / "h.hg3"), "--checks", checks]) == 2
-    assert capsys.readouterr().err.count("unknown check") == 3
+    assert capsys.readouterr().err.count("unknown check") == 4
 
 
 @pytest.mark.parametrize("args", [

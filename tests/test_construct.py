@@ -20,7 +20,7 @@ from gridfree import (
     line_parabola_intersections,
     secant_line,
 )
-from gridfree.construct import GENERATOR, SELECTION_RULE, construction, select_subset
+from gridfree.construct import construction, select_subset
 from gridfree.hypergraph import count_edges
 
 BASE5_EDGES = ((0, 2, 6), (0, 3, 9), (1, 3, 7), (1, 4, 5), (2, 4, 8))
@@ -300,11 +300,6 @@ def test_densities_are_fractions():
     assert type(density(h)) is Fraction
     for rho in (0, 1, Fraction(1, 2), "1/3"):
         assert type(density_ratio(rho)) is Fraction
-
-
-def test_generator_constants_documented():
-    assert GENERATOR == "splitmix64"
-    assert SELECTION_RULE == "smaller-x"
 
 
 def test_every_edge_lies_on_its_hosts_identity():

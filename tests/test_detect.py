@@ -11,10 +11,10 @@ from gridfree import (
     build_base,
     build_qr,
     build_random,
+    degrees,
     find_grid,
     find_prism,
     find_small_two_core,
-    min_degree,
     two_core,
 )
 from gridfree.detect import GRID_EDGES, PRISM_EDGES
@@ -151,7 +151,7 @@ def test_two_core_of_full_base7():
     core = two_core(h7)
     assert (core.n, core.m) == (12, 12)
     assert core.edges == BASE7_CORE12
-    assert min_degree(core) >= 2
+    assert min(degrees(core)) >= 2
     assert two_core(core) == core
 
 

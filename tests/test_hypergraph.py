@@ -23,7 +23,6 @@ from gridfree import (
     encode,
     is_linear,
     linear_witness,
-    min_degree,
 )
 from fractions import Fraction
 
@@ -218,14 +217,10 @@ def test_density_and_degrees():
     h = Hypergraph3.from_edges(5, [(0, 1, 2), (0, 3, 4)])
     assert density(h) == Fraction(2, 25)
     assert degrees(h) == [2, 1, 1, 1, 1]
-    assert min_degree(h) == 1
     lonely = Hypergraph3.from_edges(4, [(0, 1, 2)])
     assert degrees(lonely) == [1, 1, 1, 0]
-    assert min_degree(lonely) == 0
     with pytest.raises(ValueError):
         density(Hypergraph3(0, ()))
-    with pytest.raises(ValueError):
-        min_degree(Hypergraph3(0, ()))
 
 
 def test_plain_encode_decode():
