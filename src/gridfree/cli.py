@@ -18,6 +18,13 @@ a failed linearity check ahead of the detectors never decodes it.  Every
 file, irregular or unreadable, is reported as decode on its whole text
 would report it.
 
+`verify` and `detect` decode with provenance, and find_grid takes the
+file's vertex map: a builder file is certified grid-free in one pass over
+its edges (the theorem is in detect's docstring), with no search.  A file
+whose provenance comments are malformed is decoded again without them,
+as decode ignores comments, and searched, so its stdout, exit code and
+error message are what they were before the certificate.
+
 Only --rho's parser and the library functions that build a Fraction
 (lemma's and the densities) import fractions, so only `lemma` and
 `construct random` load it; the construct report's density is reduced
@@ -46,6 +53,7 @@ from .hypergraph import (
     FormatError,
     count_edges,
     decode,
+    decode_with_provenance,
     encode_head,
     file_linear_witness,
     write_edges,
@@ -157,6 +165,20 @@ def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> int:
     why = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror
     print(f"cannot read {path}: {why}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _read_instance(path: str):
+    """(h, vmap) of the .hg3 file at path: decode_with_provenance of its
+    text, or, when that raises FormatError, decode's hypergraph and no map.
+    decode reads no comment, so a file whose provenance comments are
+    malformed reads, or fails, exactly as decode reads it.  A file that
+    cannot be read raises OSError, and one that is not UTF-8
+    UnicodeDecodeError."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return decode_with_provenance(text)
+    except FormatError:
+        return decode(text), None
 
 
 def _write_replacing(path: Path, pieces) -> None:
@@ -277,17 +299,17 @@ def cmd_verify(args) -> int:
         parameters={"checks": requested},
         inputs=[args.infile],
     )
-    h = None  # decoded when the first detector is reached
+    h = None  # read when the first detector is reached
     for name in requested:
         try:
             if name == "linear":
                 found = file_linear_witness(args.infile)
             elif h is None:
-                h = decode(Path(args.infile).read_text(encoding="utf-8"))
+                h, vmap = _read_instance(args.infile)
         except (OSError, UnicodeDecodeError) as exc:
             return _cannot_read(args.infile, exc)
         if name == "gridfree":
-            found = find_grid(h)
+            found = find_grid(h, vmap)
         elif name == "prismfree":
             found = find_prism(h)
         elif name == "corefree9":
@@ -412,11 +434,11 @@ def cmd_pascal(args) -> int:
 
 def cmd_detect(args) -> int:
     try:
-        h = decode(Path(args.infile).read_text(encoding="utf-8"))
+        h, vmap = _read_instance(args.infile)
     except (OSError, UnicodeDecodeError) as exc:
         return _cannot_read(args.infile, exc)
     if args.find == "grid":
-        witness = find_grid(h)
+        witness = find_grid(h, vmap)
     elif args.find == "prism":
         witness = find_prism(h)
     else:

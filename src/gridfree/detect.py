@@ -16,7 +16,11 @@ one vertex.  Their line graphs are the two cubic simple graphs on six
 nodes, K3,3 and the triangular prism.  Both finders run one enumerator
 that closes each configuration from its least edge through vertex-pair
 lookups, about m * d^2 of them for m edges of degree at most d on a
-linear host.  It certifies base p = 101 (m = 2525) grid-free in seconds.
+linear host.
+
+find_grid first tries the certificate of _certificate.py, which proves a
+builder's host grid-free from its vertex map in one pass over the edges;
+when any of its tests fails, the search runs as before.
 
 The searches are exhaustive and return deterministic, lexicographically
 least witnesses.  find_small_two_core stays exponential in principle: its
@@ -33,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from .hypergraph import Hypergraph3
+from .hypergraph import Hypergraph3, VertexMap
 from .record import Record
 
 __all__ = [
@@ -205,9 +209,17 @@ def _is_nine_six(edges, idx) -> bool:
     return all(len(set(edges[s]) & set(edges[t])) <= 1 for s, t in combinations(idx, 2))
 
 
-def find_grid(h: Hypergraph3) -> GridWitness | None:
+def find_grid(h: Hypergraph3, vertex_map: VertexMap | None = None) -> GridWitness | None:
     """Exhaustive grid search; returns the lexicographically least witness
-    (by the sorted row indices, then the sorted col indices) or None."""
+    (by the sorted row indices, then the sorted col indices) or None.
+
+    With a vertex_map that certifies h (see _certificate.certified) the
+    answer is None without a search; any other map is ignored."""
+    if vertex_map is not None:
+        from ._certificate import certified  # compiled only where a map is given
+
+        if certified(h, vertex_map):
+            return None
     key = _least_configuration(h, "grid")
     if key is None:
         return None

@@ -13,8 +13,9 @@ the lines of the whole text, linearity by a set of pair codes, and the
 first-repeated-pair loop the CLI once ran.  The package is imported only
 for the records and the error the oracles return or raise, the generator
 they replay, and the closed form the census reports beside its count.
-Seeded generators for random and planted instances also live here so the
-tests and the acceptance gate draw from the same well.
+Seeded generators for random and planted instances, and the full C_k
+hosts of the grid certificate, also live here so the tests and the
+acceptance gate draw from the same well.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from gridfree import FormatError, Hypergraph3, LemmaInstance, closed_form_N
+from gridfree import (FormatError, Hypergraph3, LemmaInstance, VertexInfo, VertexMap,
+                      closed_form_N)
 from gridfree.charsum import SecantCensus
 from gridfree.lemma import EXHAUSTIVE_LIMIT
 from gridfree.rng import splitmix64_stream
@@ -632,6 +634,19 @@ def plant_grid(rng: random.Random, n_extra: int = 12, m_extra: int = 10) -> Hype
 def plant_prism(rng: random.Random, n_extra: int = 12, m_extra: int = 10) -> Hypergraph3:
     """Random linear hypergraph guaranteed to contain a prism."""
     return _plant(rng, PRISM_CANON, n_extra, m_extra)
+
+
+def ck_host(p: int, k: int) -> tuple[Hypergraph3, VertexMap]:
+    """The full host C_k over F_p and its vertex map: w-vertex w of V2 is
+    id p + w, vertex a of V1 is id a, and {a, b, w} is an edge for every
+    a < b with (w - a)(w - b) = k (mod p), found by trying every triple.
+    A pair {a, b} lies on up to two w's, so the host is not linear.  Any
+    modulus p is accepted, so that tests can take one that is not prime."""
+    edges = [(a, b, p + w) for w in range(p) for a in range(p) for b in range(a + 1, p)
+             if (w - a) * (w - b) % p == k % p]
+    points = [VertexInfo("V1", x, x * x % p) for x in range(p)]
+    points += [VertexInfo("V2", x, (x * x + 1) % p) for x in range(p)]
+    return Hypergraph3.from_edges(2 * p, edges), VertexMap(p, points)
 
 
 def peel_random_order(h: Hypergraph3, rng: random.Random) -> Hypergraph3:

@@ -117,6 +117,49 @@ def test_verify_gridfree_fails_on_grid_fixture(tmp_path):
                                "vertices": list(range(9))}
 
 
+def test_malformed_provenance_keeps_the_search_and_its_output(tmp_path, capsys):
+    # verify and detect read a file's provenance to certify it grid-free.
+    # One malformed vertex comment makes them read it as decode does, which
+    # never parses comments: every outcome is that of the same file with
+    # its comments removed, planted grid, body fault and all.
+    from gridfree import FormatError, build_base, cli, decode, decode_with_provenance, encode
+    from gridfree.detect import GRID_EDGES
+
+    h, vmap, _ = build_base(7)
+    lines = encode(h, vmap).splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("# vertex 3 "))
+    lines[at] = lines[at].rsplit(" ", 1)[0] + "\n"  # no y coordinate
+    head = lines.index(f"{h.n} {h.m}\n")
+    clean = "".join(lines)
+    planted = "".join(lines[:head] + [f"{h.n + 9} {h.m + 6}\n"] + lines[head + 1:]
+                      + [f"{h.n + a} {h.n + b} {h.n + c}\n" for a, b, c in GRID_EDGES])
+    path = tmp_path / "h.hg3"
+
+    def outcome(text, argv):
+        path.write_text(text)
+        code = cli.main([*argv, "--in", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err.splitlines()[:-1]  # without the timing line
+
+    verify, detect = ["verify"], ["detect", "--find", "grid"]
+    for text, failed in ((clean, "prismfree"), (planted, "gridfree")):
+        with pytest.raises(FormatError, match="malformed vertex comment"):
+            decode_with_provenance(text)
+        bare = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("#"))
+        for argv in (verify, detect):
+            assert outcome(text, argv) == outcome(bare, argv), (failed, argv)
+        code, out, _ = outcome(text, verify)
+        assert (code, json.loads(out)["failed"]) == (1, failed)
+        code, out, _ = outcome(text, detect)
+        assert (code, json.loads(out)["found"]) == (0, failed == "gridfree")
+    broken = clean + "0 1\n"
+    with pytest.raises(FormatError) as fault:
+        decode(broken)
+    for argv in (verify, detect):
+        assert outcome(broken, argv) == (2, "", [f"parse error: {fault.value}"])
+
+
 def test_verify_linear_witness(tmp_path):
     (tmp_path / "bad.hg3").write_text("4 2\n0 1 2\n0 1 3\n")
     proc = run(("verify", "--in", "bad.hg3", "--checks", "linear"), tmp_path)
@@ -281,6 +324,7 @@ def test_unknown_check_is_reported_before_the_input_is_read(tmp_path, monkeypatc
         raise AssertionError("the input was read")
 
     monkeypatch.setattr(cli, "decode", unread)
+    monkeypatch.setattr(cli, "decode_with_provenance", unread)
     monkeypatch.setattr(cli, "file_linear_witness", unread)
     (tmp_path / "h.hg3").write_text("3 1\n0 1 2\n")
     for checks in ("linear,nope", "nope", "gridfree,,linear", ""):

@@ -2,21 +2,28 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from gridfree import (
     CoreWitness,
     GridWitness,
     Hypergraph3,
+    VertexInfo,
+    VertexMap,
     build_base,
     build_qr,
     build_random,
+    decode_with_provenance,
     degrees,
+    encode,
     find_grid,
     find_prism,
     find_small_two_core,
+    is_linear,
     two_core,
 )
+from gridfree._certificate import certified
 from gridfree.detect import GRID_EDGES, PRISM_EDGES
 
 GRID = Hypergraph3.from_edges(9, GRID_EDGES)
@@ -326,3 +333,136 @@ def test_default_verify_memory_ignores_the_header_vertex_count(tmp_path, capsys,
     assert code == 0
     assert '"ok":true' in capsys.readouterr().out
     assert peak < 4 << 20, peak
+
+
+def _same_grid(h, vmap):
+    """find_grid of h with vmap, checked equal to the search without it."""
+    got = find_grid(h, vmap)
+    assert got == find_grid(h)
+    return got
+
+
+def test_certificate_agrees_with_the_search_on_builders():
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        builds = [build_base(p), build_qr(p)] + [build_random(p, 1, 2, s) for s in (1, 2, 3)]
+        for h, vmap, _ in builds:
+            assert certified(h, vmap) == (h.m > 0), p
+            assert _same_grid(h, vmap) is None, p
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17])
+def test_certificate_agrees_with_the_search_on_full_hosts(p):
+    prisms = 0
+    for k in range(1, p):
+        h, vmap = oracles.ck_host(p, k)
+        assert certified(h, vmap) and not is_linear(h), k
+        assert _same_grid(h, vmap) is None, k
+        prisms += find_prism(h) is not None
+    # the search has (9,6) configurations to find: half the hosts at p = 7
+    # and 11 hold a prism, and all of them at p = 13 and 17
+    assert 2 * prisms >= p - 1, prisms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_certificate_agrees_with_the_search_on_sub_hosts(data):
+    p = data.draw(st.sampled_from((5, 7, 11, 13)), "p")
+    host, vmap = oracles.ck_host(p, data.draw(st.integers(1, p - 1), "k"))
+    kept = data.draw(st.lists(st.booleans(), min_size=host.m, max_size=host.m), "kept")
+    extra = data.draw(st.lists(st.lists(st.integers(0, 2 * p - 1), min_size=3, max_size=3,
+                                        unique=True), max_size=3), "extra")
+    edges = {e for e, keep in zip(host.edges, kept) if keep}
+    off = {tuple(sorted(e)) for e in extra}.difference(host.edges)
+    h = Hypergraph3.from_edges(2 * p, edges | off)
+    if not off:
+        assert certified(h, vmap) == (h.m > 0)
+    _same_grid(h, vmap)
+
+
+def _labelled(labels, p=13):
+    """The vertex map over F_p giving vertex v the (origin, x) labels[v]
+    and the y coordinate v."""
+    return VertexMap(p, [VertexInfo(origin, x, v) for v, (origin, x) in enumerate(labels)])
+
+
+# A grid whose w-vertices 0, 1, 2 have x = 0, 1, 3, and whose other six
+# vertices close the walk of C_1's involutions over F_13: its rows are
+# {0, 3, 4}, {1, 5, 6}, {2, 7, 8} and its columns {2, 4, 5}, {0, 6, 7},
+# {1, 3, 8}, and every edge satisfies (w - a)(w - b) = 1.  By the trace
+# identity the six x values cannot be distinct: they are 5, 8 and 11, each
+# twice.  Each edge lists its w-vertex first, so only the labels and the
+# origins tell this grid from a certified host.
+WALK_EDGES = ((0, 3, 4), (0, 6, 7), (1, 3, 8), (1, 5, 6), (2, 4, 5), (2, 7, 8))
+WALK_X = (0, 1, 3, 5, 8, 11, 5, 8, 11)
+
+
+def test_grids_on_the_host_identity_are_refused():
+    walk = Hypergraph3(9, WALK_EDGES)
+    for w, a, b in walk.edges:
+        assert (WALK_X[w] - WALK_X[a]) * (WALK_X[w] - WALK_X[b]) % 13 == 1
+    repeated = [("V2" if v < 3 else "V1", x) for v, x in enumerate(WALK_X)]
+    # the repeats moved to a second origin, so the labels are injective
+    split = [("S-of-V1", x) if v > 5 else (origin, x) for v, (origin, x) in enumerate(repeated)]
+    two_w = split[:3] + [("V2", 12)] + split[4:]
+    for labels in (repeated, split, two_w):
+        vmap = _labelled(labels)
+        assert not certified(walk, vmap), labels
+        found = _same_grid(walk, vmap)
+        assert found is not None, labels
+        found.validate(walk)
+
+
+def test_mutations_force_the_search():
+    p = 13
+    h, vmap, _ = build_base(p)
+    x = [info.x for info in vmap.entries]
+    (a, b, w), rest = h.edges[0], h.edges[1:]
+    w2 = next(v for v in range(p, 2 * p)
+              if (x[v] - x[a]) * (x[v] - x[b]) % p != p - 1 and (a, b, v) not in h.edges)
+    entries = list(vmap.entries)
+    first = entries[0]
+    split = entries.copy()
+    split[a] = VertexInfo("S-of-V1", first.x, first.y)
+    mutants = {
+        "off the identity": (Hypergraph3.from_edges(h.n, rest + ((a, b, w2),)), vmap),
+        "repeated label": (Hypergraph3(h.n + 1, h.edges), VertexMap(
+            p, entries + [VertexInfo(first.origin, first.x, (first.y + 2) % p)])),
+        "two w-vertices": (Hypergraph3.from_edges(h.n, rest + ((a, w2, w),)), vmap),
+        "split origins": (h, VertexMap(p, split)),
+        # every edge {a, a + 1, w} with w's x equal to a's: the product is 0
+        "k = 0": (Hypergraph3(h.n, [(v, v + 1, p + v) for v in range(p - 1)]), vmap),
+        # the identity over Z/15, which is not a field, holds a grid
+        "composite modulus": oracles.ck_host(15, 2),
+        "no map": (h, None),
+    }
+    grids = set()
+    for name, (g, gmap) in mutants.items():
+        assert not certified(g, gmap), name
+        if _same_grid(g, gmap) is not None:
+            grids.add(name)
+    # the moved edge closes a grid, which only the search can report
+    assert grids == {"off the identity", "composite modulus"}
+    assert certified(h, vmap)
+
+
+def test_planted_grids_with_provenance_get_the_search_witness():
+    # Off the identity: a grid planted in C_1 over F_13 on w's 0, 1, 3 and
+    # six other vertices with distinct x, whose edges all have the host's
+    # shape; and a grid planted beside base p = 13 on nine new vertices.
+    host, host_map = oracles.ck_host(13, 1)
+    cells = (13, 1, 2, 3, 14, 4, 5, 6, 16)  # GRID's cell v is host vertex cells[v]
+    planted = {tuple(sorted(cells[v] for v in e)) for e in GRID_EDGES}
+    assert planted.difference(host.edges)
+    h, vmap, _ = build_base(13)
+    beside = [VertexInfo("S-of-V1", x, (x * x + 2) % 13) for x in range(9)]
+    cases = [
+        (Hypergraph3.from_edges(host.n, planted.union(host.edges)), host_map),
+        (Hypergraph3(h.n + 9, h.edges + tuple(tuple(h.n + v for v in e) for e in GRID_EDGES)),
+         VertexMap(13, vmap.entries + tuple(beside))),
+    ]
+    for g, gmap in cases:
+        assert not certified(g, gmap)
+        assert decode_with_provenance(encode(g, gmap)) == (g, gmap)
+        found = _same_grid(g, gmap)
+        assert found is not None
+        found.validate(g)

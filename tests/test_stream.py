@@ -42,18 +42,21 @@ RHOS = ((0, 1), (1, 3), (1, 2), (1, 1))
 
 
 def main(argv):
-    """(exit code, stdout, first stderr line, decode calls) of in-process
-    `gridfree argv`."""
+    """(exit code, stdout, first stderr line, whole-text decodes, with or
+    without provenance) of in-process `gridfree argv`."""
     decoded = []
 
-    def counted(text):
-        decoded.append(len(text))
-        return real_decode(text)
+    def counted(real):
+        def decode(text):
+            decoded.append(len(text))
+            return real(text)
 
-    real_decode = cli.decode
+        return decode
+
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
-        mp.setattr(cli, "decode", counted)
+        for name in ("decode", "decode_with_provenance"):
+            mp.setattr(cli, name, counted(getattr(cli, name)))
         code = cli.main(argv)
     first = err.getvalue().splitlines()[0]
     return code, out.getvalue(), "<timing>" if TIMING.match(first) else first, len(decoded)
