@@ -13,17 +13,18 @@ temporary file and copies them behind the header once the report has
 validated their count.  `verify` runs the requested checks in order.  It
 checks linearity by reading the file with the codec's one reader, a
 chunk of whole lines at a time (twice when it must name a witness), and
-decodes the whole file only when it reaches the first detector check, so
-a failed linearity check ahead of the detectors never decodes it.  Every
+reads the hypergraph only when it reaches the first detector check, so
+a failed linearity check ahead of the detectors never builds it.  Every
 file, irregular or unreadable, is reported as decode on its whole text
 would report it.
 
-`verify` and `detect` decode with provenance, and find_grid takes the
-file's vertex map: a builder file is certified grid-free in one pass over
-its edges (the theorem is in detect's docstring), with no search.  A file
-whose provenance comments are malformed is decoded again without them,
-as decode ignores comments, and searched, so its stdout, exit code and
-error message are what they were before the certificate.
+`verify` and `detect` read the hypergraph with file_instance, through the
+same reader, once, and find_grid takes the file's vertex map: a builder
+file is certified grid-free in one pass over its edges (the theorem is in
+detect's docstring), with no search.  A file whose provenance comments
+are malformed reads with no map, as decode ignores comments, and is
+searched, so its stdout, exit code and error message are what they were
+before the certificate.
 
 Only --rho's parser and the library functions that build a Fraction
 (lemma's and the densities) import fractions, so only `lemma` and
@@ -52,9 +53,8 @@ from .geometry import pascal_collinear
 from .hypergraph import (
     FormatError,
     count_edges,
-    decode,
-    decode_with_provenance,
     encode_head,
+    file_instance,
     file_linear_witness,
     write_edges,
 )
@@ -165,20 +165,6 @@ def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> int:
     why = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror
     print(f"cannot read {path}: {why}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _read_instance(path: str):
-    """(h, vmap) of the .hg3 file at path: decode_with_provenance of its
-    text, or, when that raises FormatError, decode's hypergraph and no map.
-    decode reads no comment, so a file whose provenance comments are
-    malformed reads, or fails, exactly as decode reads it.  A file that
-    cannot be read raises OSError, and one that is not UTF-8
-    UnicodeDecodeError."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        return decode_with_provenance(text)
-    except FormatError:
-        return decode(text), None
 
 
 def _write_replacing(path: Path, pieces) -> None:
@@ -305,7 +291,7 @@ def cmd_verify(args) -> int:
             if name == "linear":
                 found = file_linear_witness(args.infile)
             elif h is None:
-                h, vmap = _read_instance(args.infile)
+                h, vmap = file_instance(args.infile)
         except (OSError, UnicodeDecodeError) as exc:
             return _cannot_read(args.infile, exc)
         if name == "gridfree":
@@ -434,7 +420,7 @@ def cmd_pascal(args) -> int:
 
 def cmd_detect(args) -> int:
     try:
-        h, vmap = _read_instance(args.infile)
+        h, vmap = file_instance(args.infile)
     except (OSError, UnicodeDecodeError) as exc:
         return _cannot_read(args.infile, exc)
     if args.find == "grid":

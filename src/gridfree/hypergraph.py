@@ -19,22 +19,23 @@ chunk that _canonical_chunk refuses goes to the same walk for its
 message.  One formatter writes edge lines from a table of id strings, so
 each id is converted once: encode runs it over a hypergraph's edges a
 chunk at a time, and write_edges over a construction's column chunks
-into a file, without any Hypergraph3.  One reader, _read, takes decode's
-text, or a file for file_linear_witness, a chunk of whole lines at a
-time.  A body chunk is in encode's exact form when deleting its digits
-leaves two spaces and a newline per line and it splits into three tokens
-per line; its tokens are looked up in one table of ids shared across
-chunks, and only a token missing there is parsed, so each distinct id
-has one int.  Only a chunk that this or the canonical check refuses goes
-to the line checker, which reads lenient lines and names the first
-offending one.  decode builds its Hypergraph3 from the edges the reader
-has checked, without the constructor's walk.  Linearity (every vertex
-pair in at most one edge) is checked in O(m) by one owner-list walk over
-edges in canonical order, _repeats: a pair is owned by its smaller
-vertex, whose list is complete, checked and freed when that vertex's run
-of edges ends, and only the partners an owner lists twice are kept.  The
-partners waiting for their owner's run are packed in arrays whose
-unsigned typecode is the narrowest that holds n - 1.
+into a file, without any Hypergraph3.  One reader, _read, takes the text
+of decode and decode_with_provenance, or a file for file_linear_witness
+and file_instance, a chunk of whole lines at a time.  A body chunk is in
+encode's exact form when deleting its digits leaves two spaces and a
+newline per line and it splits into three tokens per line; its tokens
+are looked up in one table of ids shared across chunks, and only a token
+missing there is parsed, so each distinct id has one int.  Only a chunk
+that this or the canonical check refuses goes to the line checker, which
+reads lenient lines and names the first offending one.  _instance builds
+a Hypergraph3 from the edges the reader has checked, without the
+constructor's walk.  Linearity (every vertex pair in at most one edge)
+is checked in O(m) by one owner-list walk over edges in canonical order,
+_repeats: a pair is owned by its smaller vertex, whose list is complete,
+checked and freed when that vertex's run of edges ends, and only the
+partners an owner lists twice are kept.  The partners waiting for their
+owner's run are packed in arrays whose unsigned typecode is the
+narrowest that holds n - 1.
 is_linear, linear_witness and file_linear_witness all run it; the two
 witness functions then, only when it found a repeat, scan the edges once
 more in index order for the first pair seen twice.
@@ -42,7 +43,9 @@ Hypergraphs are one tuple per edge with no reference cycles, so the CLI
 runs each command with the cyclic garbage collector paused and reference
 counting frees them.  Densities are exact rationals.
 Provenance is plain integers: each vertex's origin and its point (x, y)
-as residues in [0, p).
+as residues in [0, p).  The reader keeps the comment lines unparsed, and
+_vertex_map parses and checks them once the body is read, so a body fault
+is reported ahead of a provenance fault.
 """
 
 from __future__ import annotations
@@ -444,15 +447,17 @@ def _header(line: str, lineno: int) -> tuple[int, int]:
 
 def decode(text: str) -> Hypergraph3:
     """Parse the text format; raises FormatError with a line number."""
-    return _decode(text, None)
+    return _instance(_text_chunks(text))
 
 
 def decode_with_provenance(text: str) -> tuple[Hypergraph3, VertexMap | None]:
     """Like decode, but also reconstruct the vertex map from the comments
-    when present (requires a `# modulus p` comment before the vertex lines)."""
-    notes: dict = {}
-    h = _decode(text, notes)
-    return h, _vertex_map(h.n, notes)
+    when present (requires a `# modulus p` comment before the vertex lines).
+    The comments are checked after the body, so a text that decode refuses
+    raises decode's FormatError."""
+    comments = []
+    h = _instance(_text_chunks(text), comments)
+    return h, _vertex_map(h.n, comments)
 
 
 # The str.translate table that deletes the ASCII digits.
@@ -497,26 +502,6 @@ def _chunk_columns(chunk: str, value: dict[str, int]):
     return ids[0::3], ids[1::3], ids[2::3]
 
 
-def _note(line: str, lineno: int, notes: dict) -> None:
-    """Record the comment line in notes: `# modulus p` as notes["modulus"]
-    = (lineno, p), the last one kept, and each `# vertex id origin x y` as
-    (lineno, id, origin, x, y) in the list notes["vertex"]; other comments
-    are free-form."""
-    tokens = line.split()
-    kind = tokens[1] if len(tokens) >= 2 else None
-    if kind == "modulus":
-        if len(tokens) != 3:
-            raise FormatError("malformed modulus comment", lineno)
-        notes[kind] = lineno, _parse_int(tokens[2], "modulus", lineno)
-    elif kind == "vertex":
-        if len(tokens) != 6:
-            raise FormatError("malformed vertex comment", lineno)
-        vid = _parse_int(tokens[2], "vertex id", lineno)
-        x = _parse_int(tokens[4], "x coordinate", lineno)
-        y = _parse_int(tokens[5], "y coordinate", lineno)
-        notes.setdefault(kind, []).append((lineno, vid, tokens[3], x, y))
-
-
 def _checked_lines(piece: str, lineno: int, prev, n: int, left: int):
     """The edges on the lines of piece, whole lines of which the first is
     line lineno, as column tuples (firsts, seconds, thirds), checked line
@@ -552,13 +537,14 @@ def _checked_lines(piece: str, lineno: int, prev, n: int, left: int):
     return tuple(zip(*edges))
 
 
-def _read(pieces, notes: dict | None = None):
+def _read(pieces, comments: list | None = None):
     """Read the .hg3 text that pieces yields in chunks of whole lines:
     yield its vertex count n, then its edges as column chunks (firsts,
     seconds, thirds), one per piece of the edge body.
 
-    The comments (recorded in notes when it is given, see _note) and the
-    header are read line by line.  A piece of the body is parsed by
+    The comments and the header are read line by line; when comments is
+    given, each comment line is appended to it as (line number, text),
+    unparsed (see _vertex_map).  A piece of the body is parsed by
     _chunk_columns and checked by _canonical_chunk, which needs no per-line
     work; only a piece they refuse goes to the line checker,
     _checked_lines.  On a fault the rest of pieces is still read, a piece
@@ -582,8 +568,8 @@ def _read(pieces, notes: dict | None = None):
                 if not line.startswith("#"):
                     n, m = _header(line, lineno)
                     yield n
-                elif notes is not None:
-                    _note(line, lineno, notes)
+                elif comments is not None:
+                    comments.append((lineno, line))
                 pos = end + 1
                 lineno += 1
             if pos == len(piece):
@@ -622,23 +608,39 @@ def _text_chunks(text: str):
         pos = end
 
 
-def _decode(text: str, notes: dict | None) -> Hypergraph3:
-    """The hypergraph of text, read a piece at a time (see _read), whose
-    checks already hold every edge to the constructor's rules."""
-    reader = _read(_text_chunks(text), notes)
+def _instance(pieces, comments: list | None = None) -> Hypergraph3:
+    """The hypergraph of the .hg3 text that pieces yields (see _read),
+    whose checks already hold every edge to the constructor's rules."""
+    reader = _read(pieces, comments)
     n = next(reader)
     return Hypergraph3._checked(n, tuple(chain.from_iterable(zip(*columns) for columns in reader)))
 
 
-def _vertex_map(n: int, notes: dict) -> VertexMap | None:
-    """The vertex map of the provenance comments recorded in notes (see
-    _note), checked against the n vertices; None without vertex comments."""
-    vertex_lines = notes.get("vertex")
+def _vertex_map(n: int, comments) -> VertexMap | None:
+    """The vertex map of the provenance among comments, the (line number,
+    text) pairs of _read, checked against the n vertices; None without
+    vertex comments.  `# modulus p` gives the modulus, the last one kept,
+    and `# vertex id origin x y` one vertex; other comments are free-form.
+    Every comment is parsed before the map is checked."""
+    modulus = None
+    vertex_lines = []
+    for lineno, line in comments:
+        tokens = line.split()
+        kind = tokens[1] if len(tokens) >= 2 else None
+        if kind == "modulus":
+            if len(tokens) != 3:
+                raise FormatError("malformed modulus comment", lineno)
+            modulus_line, modulus = lineno, _parse_int(tokens[2], "modulus", lineno)
+        elif kind == "vertex":
+            if len(tokens) != 6:
+                raise FormatError("malformed vertex comment", lineno)
+            vertex_lines.append((lineno, _parse_int(tokens[2], "vertex id", lineno), tokens[3],
+                                 _parse_int(tokens[4], "x coordinate", lineno),
+                                 _parse_int(tokens[5], "y coordinate", lineno)))
     if not vertex_lines:
         return None
-    if "modulus" not in notes:
+    if modulus is None:
         raise FormatError("vertex comments without a modulus comment", vertex_lines[0][0])
-    modulus_line, modulus = notes["modulus"]
     if modulus % 2 == 0 or modulus >= PRIME_LIMIT or not is_prime(modulus):
         raise FormatError(f"modulus {modulus} is not an odd prime below {PRIME_LIMIT}",
                           modulus_line)
@@ -662,12 +664,11 @@ def _vertex_map(n: int, notes: dict) -> VertexMap | None:
     return VertexMap(modulus, tuple(by_id[i] for i in range(n)))
 
 
-def _file_edges(path):
-    """What _read yields for the .hg3 file at path: its vertex count, then
-    its edges as column chunks, read a piece of whole lines at a time with
-    the newline translation of Path.read_text."""
+def _file_pieces(path):
+    """The text of the .hg3 file at path, about _CHUNK_CHARS characters of
+    whole lines at a time, with the newline translation of Path.read_text."""
     with open(path, encoding="utf-8") as f:
-        yield from _read(iter(lambda: f.read(_CHUNK_CHARS) + f.readline(), ""))
+        yield from iter(lambda: f.read(_CHUNK_CHARS) + f.readline(), "")
 
 
 def file_linear_witness(path) -> tuple[tuple[int, int], int, int] | None:
@@ -677,6 +678,18 @@ def file_linear_witness(path) -> tuple[tuple[int, int], int, int] | None:
     is read as decode reads it and raises the same FormatError; a file that
     cannot be read raises OSError, and one that is not UTF-8
     UnicodeDecodeError."""
-    edges = _file_edges(path)
+    edges = _read(_file_pieces(path))
     repeats = _repeats(next(edges), edges)
-    return _first_repeat(islice(_file_edges(path), 1, None), repeats) if repeats else None
+    return _first_repeat(islice(_read(_file_pieces(path)), 1, None), repeats) if repeats else None
+
+
+def file_instance(path) -> tuple[Hypergraph3, VertexMap | None]:
+    """(h, vmap) of the .hg3 file at path, read once as file_linear_witness
+    reads it: decode's hypergraph or FormatError, and the vertex map of its
+    provenance comments, None when there is none or _vertex_map refuses it."""
+    comments = []
+    h = _instance(_file_pieces(path), comments)
+    try:
+        return h, _vertex_map(h.n, comments)
+    except FormatError:
+        return h, None

@@ -323,8 +323,7 @@ def test_unknown_check_is_reported_before_the_input_is_read(tmp_path, monkeypatc
     def unread(path):
         raise AssertionError("the input was read")
 
-    monkeypatch.setattr(cli, "decode", unread)
-    monkeypatch.setattr(cli, "decode_with_provenance", unread)
+    monkeypatch.setattr(cli, "file_instance", unread)
     monkeypatch.setattr(cli, "file_linear_witness", unread)
     (tmp_path / "h.hg3").write_text("3 1\n0 1 2\n")
     for checks in ("linear,nope", "nope", "gridfree,,linear", ""):

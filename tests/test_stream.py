@@ -7,9 +7,14 @@ lines at a time, with a line checker for the chunks outside encode's
 form.  Each must give exactly the bytes, exit codes and messages of its
 reference: `encode(build_*(...))` for construct, and for verify
 `oracles.decode_by_lines` on the file's text, read as UTF-8 with
-universal newlines, then the first-repeated-pair loop.
+universal newlines, then the first-repeated-pair loop.  The detectors'
+hypergraph comes from `file_instance`, through the same reader, in one
+pass with the provenance comments: it must read as `decode` and
+`decode_with_provenance` read the same text, and `main` counts its calls,
+so a route that must not build a hypergraph is held to none.
 """
 
+import functools
 import io
 import json
 import random
@@ -30,6 +35,7 @@ from gridfree import (
     build_random,
     cli,
     decode,
+    decode_with_provenance,
     encode,
     hypergraph,
 )
@@ -42,24 +48,21 @@ RHOS = ((0, 1), (1, 3), (1, 2), (1, 1))
 
 
 def main(argv):
-    """(exit code, stdout, first stderr line, whole-text decodes, with or
-    without provenance) of in-process `gridfree argv`."""
-    decoded = []
+    """(exit code, stdout, first stderr line, calls of cli.file_instance,
+    the only read that builds a hypergraph) of in-process `gridfree argv`."""
+    reads = []
 
-    def counted(real):
-        def decode(text):
-            decoded.append(len(text))
-            return real(text)
+    def counted(path):
+        reads.append(path)
+        return real(path)
 
-        return decode
-
+    real = cli.file_instance
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
-        for name in ("decode", "decode_with_provenance"):
-            mp.setattr(cli, name, counted(getattr(cli, name)))
+        mp.setattr(cli, "file_instance", counted)
         code = cli.main(argv)
     first = err.getvalue().splitlines()[0]
-    return code, out.getvalue(), "<timing>" if TIMING.match(first) else first, len(decoded)
+    return code, out.getvalue(), "<timing>" if TIMING.match(first) else first, len(reads)
 
 
 def construct_argv(kind, p, rho=None, seed=None):
@@ -167,11 +170,11 @@ def verify_by_lines(path):
 
 def verify_streamed(path):
     """verify --checks linear on path: the exit code, stdout and first
-    stderr line of the reference, with the file streamed, never decoded
-    whole."""
-    code, out, err, decoded = main(["verify", "--checks", "linear", "--in", str(path)])
+    stderr line of the reference, with the file streamed and never read
+    into a hypergraph."""
+    code, out, err, instances = main(["verify", "--checks", "linear", "--in", str(path)])
     assert (code, out, err) == verify_by_lines(path)
-    assert decoded == 0
+    assert instances == 0
     return code, out, err
 
 
@@ -344,6 +347,120 @@ def test_verify_linear_stream_matches_decode(tmp_path_factory, seed, n_extra, m,
                 assert _outcome(decode, text) == _outcome(oracles.decode_by_lines, text)
 
 
+@functools.cache
+def builder_text(kind, p):
+    """encode of the builder of kind at p with its vertex map (random at
+    rho = 1/2, seeded with p)."""
+    if kind == "random":
+        h, vmap, _ = build_random(p, 1, 2, p)
+    else:
+        h, vmap, _ = (build_base if kind == "base" else build_qr)(p)
+    return encode(h, vmap)
+
+
+def instance_outcome(text):
+    """What file_instance must give for a file holding text: decode's
+    FormatError as (line, message), or (decode(text), vmap), where vmap is
+    decode_with_provenance's map or None when that raised a provenance
+    fault.  Asserts the contract between decode and
+    decode_with_provenance on the way: the same error, or the same
+    hypergraph, or a fault on a comment line before the header."""
+    try:
+        h = decode(text)
+    except FormatError as exc:
+        fault = exc.line, str(exc)
+        assert _outcome(decode_with_provenance, text) == fault
+        return fault
+    try:
+        h_too, vmap = decode_with_provenance(text)
+    except FormatError as exc:
+        header = next(i for i, line in enumerate(text.split("\n"), 1) if line[:1] != "#")
+        assert exc.line < header, str(exc)
+        return h, None
+    assert h_too == h
+    return h, vmap
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([5, 7, 13]),
+    st.sampled_from(["base", "qr", "random"]),
+    st.lists(st.sampled_from(COMMENTS), max_size=2),
+    st.integers(0, 10**4),
+    st.lists(st.tuples(st.sampled_from(["insert", "delete", "substitute"]),
+                       st.integers(0, 10**4), st.sampled_from(TEXT_ALPHABET)),
+             max_size=3),
+    st.sampled_from([1, 64, 1 << 15]),
+)
+def test_provenance_is_read_after_the_body(tmp_path_factory, p, kind, comments, at, edits,
+                                           chunk):
+    # extra comments among the builder's, then mutations anywhere: wherever
+    # decode fails, decode_with_provenance and file_instance fail alike,
+    # and otherwise all three read the same hypergraph
+    lines = builder_text(kind, p).splitlines(keepends=True)
+    at %= next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    text = _mutate("".join(lines[:at] + [f"{c}\n" for c in comments] + lines[at:]), edits)
+    path = tmp_path_factory.mktemp("prov") / "h.hg3"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypergraph, "_CHUNK_CHARS", chunk)
+        expected = instance_outcome(text)
+        universal = text.replace("\r\n", "\n").replace("\r", "\n")
+        if universal != text:  # the file is read with universal newlines
+            expected = instance_outcome(universal)
+        assert _outcome(hypergraph.file_instance, path) == expected
+
+
+def test_provenance_faults_come_after_body_faults(tmp_path):
+    h, vmap, _ = build_base(7)
+    lines = encode(h, vmap).splitlines(keepends=True)
+    assert lines[4].startswith("# vertex 3 ") and len(lines) == 30
+    malformed = lines[:4] + [lines[4].rsplit(" ", 1)[0] + "\n"] + lines[5:]
+    duplicate = lines[:4] + [lines[4].replace("3", "2", 1)] + lines[5:]
+    path = tmp_path / "h.hg3"
+    for edited, fault in ((malformed, "line 5: malformed vertex comment"),
+                          (duplicate, "line 5: duplicate vertex comment for id 2")):
+        text = "".join(edited)
+        with pytest.raises(FormatError, match=f"^{fault}$"):
+            decode_with_provenance(text)
+        path.write_text(text)
+        assert hypergraph.file_instance(path) == (h, None)
+        # a trailing line the body refuses: its fault comes first
+        text += "0 1\n"
+        for parse in decode, decode_with_provenance:
+            with pytest.raises(FormatError,
+                               match="^line 31: unexpected content after the edge list$"):
+                parse(text)
+        path.write_text(text)
+        with pytest.raises(FormatError, match="^line 31: unexpected content after the edge list$"):
+            hypergraph.file_instance(path)
+
+
+def test_refused_provenance_is_read_once(tmp_path, monkeypatch):
+    # a repeated vertex id is refused only after the body is read; the
+    # hypergraph read then is searched without a map, not read again
+    h, vmap, _ = build_base(7)
+    text = encode(h, vmap).replace("# vertex 3 ", "# vertex 2 ", 1)
+    with pytest.raises(FormatError, match="duplicate vertex comment for id 2"):
+        decode_with_provenance(text)
+    path = tmp_path / "h.hg3"
+    path.write_text(text)
+    real, calls = hypergraph._read, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hypergraph, "_read", counted)
+    for argv in (["verify", "--checks", "gridfree"], ["detect", "--find", "grid"]):
+        calls.clear()
+        code, out, err, instances = main([*argv, "--in", str(path)])
+        assert (code, err, instances) == (0, "<timing>", 1)
+        payload = json.loads(out)
+        assert payload.get("ok") is True or payload.get("found") is False, argv
+        assert len(calls) == 1, argv
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -401,8 +518,8 @@ def test_verify_linear_memory_at_p_1009(tmp_path, base1009):
         else:
             path.write_text(encode(*build_random(1009, 1, 2, 3)[:2]))
         argv = ["verify", "--checks", "linear", "--in", str(path)]
-        (code, _, _, decoded), peak = _traced_peak(main, argv)
-        assert (code, decoded) == (0, 0), kind
+        (code, _, _, instances), peak = _traced_peak(main, argv)
+        assert (code, instances) == (0, 0), kind
         assert peak <= mib * 2**20, (kind, peak)
 
 
@@ -417,14 +534,14 @@ def test_verify_linear_lenient_line_memory_at_p_1009(tmp_path, base1009):
     path = tmp_path / "tab1009.hg3"
     path.write_text(text[:at] + f"{a}\t{b} {c}" + text[text.index("\n", at):])
     argv = ["verify", "--checks", "linear", "--in", str(path)]
-    (code, _, _, decoded), peak = _traced_peak(main, argv)
-    assert (code, decoded) == (0, 0)
+    (code, _, _, instances), peak = _traced_peak(main, argv)
+    assert (code, instances) == (0, 0)
     assert peak <= 8 << 20, peak  # 3.0 MiB; 39.9 MiB reading the file whole
 
 
 def test_verify_linear_witness_memory_at_p_1009(tmp_path, base1009):
     # a pair repeated past the first chunk: two streamed passes, no edge
-    # list, and the default checks stop at linear before any decode
+    # list, and the default checks stop at linear before any instance read
     h = base1009[0]
     a, b, c = h.edges[3 * h.m // 4]
     bad = Hypergraph3.from_edges(h.n + 1, h.edges + ((b, c, h.n),))
@@ -432,11 +549,24 @@ def test_verify_linear_witness_memory_at_p_1009(tmp_path, base1009):
     path.write_text(encode(bad))
     for argv in (["verify", "--checks", "linear", "--in", str(path)],
                  ["verify", "--in", str(path)]):
-        (code, out, _, decoded), peak = _traced_peak(main, argv)
-        assert (code, decoded) == (1, 0)
+        (code, out, _, instances), peak = _traced_peak(main, argv)
+        assert (code, instances) == (1, 0)
         assert json.loads(out)["witness"] == oracles.linear_witness_by_loop(bad)
         # 1.5 MiB with --checks linear, 1.3 MiB by default; 2.2 and 2.1 MiB
         # with a list slot per waiting partner, 7.8 and 22.7 MiB with edge
         # codes in every owner list and a decode ahead of the default checks,
         # 73.2 MiB reading the file whole for linear
         assert peak <= 2 << 20, peak
+
+
+# Traced peaks on base p = 1009 (Python 3.11): verify --checks gridfree and
+# detect --find grid read the file once, a piece at a time, at 19.2 and
+# 18.7 MiB; holding its whole text for decode_with_provenance took 22.1 and
+# 21.7 MiB.
+def test_certificate_read_memory_at_p_1009(tmp_path, base1009):
+    path = tmp_path / "base1009.hg3"
+    path.write_text(encode(*base1009[:2]))
+    for argv in (["verify", "--checks", "gridfree"], ["detect", "--find", "grid"]):
+        (code, out, _, instances), peak = _traced_peak(main, [*argv, "--in", str(path)])
+        assert (code, instances) == (0, 1), argv
+        assert peak <= 20.5 * 2**20, (argv, peak)
