@@ -7,29 +7,15 @@ timing goes to stderr, never into the reports.  Exit codes: 0 success,
 1 a contracted identity or requested check failed, 2 usage or parse error.
 Each command runs with the cyclic garbage collector paused.
 
-`construct` never holds a hypergraph.  It counts the construction's edge
-chunks as the sweep yields them; with `--out` it writes them to a
-temporary file and copies them behind the header once the report has
-validated their count.  `verify` runs the requested checks in order.  It
-checks linearity by reading the file with the codec's one reader, a
-chunk of whole lines at a time (twice when it must name a witness), and
-reads the hypergraph only when it reaches the first detector check, so
-a failed linearity check ahead of the detectors never builds it.  Every
-file, irregular or unreadable, is reported as decode on its whole text
-would report it.
-
-`verify` and `detect` read the hypergraph with file_instance, through the
-same reader, once, and find_grid takes the file's vertex map: a builder
-file is certified grid-free in one pass over its edges (the theorem is in
-detect's docstring), with no search.  A file whose provenance comments
-are malformed reads with no map, as decode ignores comments, and is
-searched, so its stdout, exit code and error message are what they were
-before the certificate.
+`construct --out` stages the instance and its report beside the output,
+then renames them into place, so no output is left half-written.
+`verify` runs the requested checks in order and reads the hypergraph only
+at its first detector check, so a failed linear check builds none.  A
+file whose provenance comments are malformed is searched with no vertex
+map, as decode, which ignores comments, would read it.
 
 Only --rho's parser and the library functions that build a Fraction
-(lemma's and the densities) import fractions, so only `lemma` and
-`construct random` load it; the construct report's density is reduced
-with gcd.
+import fractions, so only `lemma` and `construct random` load it.
 """
 
 from __future__ import annotations
@@ -40,7 +26,7 @@ import json
 import os
 import sys
 import time
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -73,7 +59,16 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-CHECK_NAMES = ("linear", "gridfree", "prismfree", "corefree9")
+# detect --find's name for each search, verify's name for its check, and
+# the search: it takes the hypergraph, its vertex map or None, and the
+# most vertices of a small 2-core, which verify's corefree9 sets to 9.
+SEARCHES = {
+    "grid": ("gridfree", lambda h, vmap, size: find_grid(h, vmap)),
+    "prism": ("prismfree", lambda h, vmap, size: find_prism(h)),
+    "core": ("corefree9", lambda h, vmap, size: find_small_two_core(h, size)),
+}
+CHECKS = dict(SEARCHES.values())
+CHECK_NAMES = ("linear", *CHECKS)
 
 # Work budgets: the largest value of each flag whose work grows without
 # bound, refused at parse time with the usage exit code, so that no
@@ -167,42 +162,39 @@ def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> int:
     return EXIT_USAGE
 
 
-def _write_replacing(path: Path, pieces) -> None:
-    """Write the strings of pieces to path through a temporary file beside
-    it and a rename, so a write that fails never leaves path half-written."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w", encoding="utf-8") as f:
-            f.writelines(pieces)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def _stage(out: Path, report: Path, vmap, chunks, text) -> str:
+    """Write the .hg3 file of a construction's edge chunks to out and the
+    report text(m) on its edge count m to report; return that text.
 
-
-def _write_instance(path: Path, vmap, chunks, report):
-    """Stream the edge chunks of a construction into the .hg3 file at path
-    and return its validated report.
-
-    The header counts the edges, so the edge lines go first to a second
-    temporary file beside path; once the report has validated their count,
-    the header and those lines are copied into path through
-    _write_replacing.  Only one chunk of edges and one block of text are
-    held at a time.
+    The header counts the edges, so the edge lines are spooled first.  Each
+    file is written in full under a temporary name beside out, then renamed
+    into place, the instance first.  The names hold only the process id, so
+    they fit wherever out and report fit.
     """
-    spool = path.with_name(f".{path.name}.{os.getpid()}.edges.tmp")
-    fd = os.open(spool, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+    staged = {}
+
+    def create(suffix):
+        path = out.with_name(f".gridfree-{os.getpid()}.{suffix}")
+        fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
+        staged[suffix] = path
+        return open(fd, "w+", encoding="utf-8")
+
     try:
-        with open(fd, "w+", encoding="utf-8") as edges:
+        with create("edges") as edges:
             m = write_edges(edges, len(vmap), chunks)
-            validated = report(m)
+            body = text(m)
             edges.seek(0)
-            blocks = iter(lambda: edges.read(1 << 16), "")
-            _write_replacing(path, chain([encode_head(len(vmap), m, vmap)], blocks))
+            with create("hg3") as f:
+                f.write(encode_head(len(vmap), m, vmap))
+                f.writelines(iter(lambda: edges.read(1 << 16), ""))
+        with create("json") as f:
+            f.write(body + "\n")
+        os.replace(staged["hg3"], out)
+        os.replace(staged["json"], report)
+        return body
     finally:
-        spool.unlink(missing_ok=True)
-    return validated
+        for path in staged.values():
+            path.unlink(missing_ok=True)
 
 
 def _int_range(minimum: int, budget: int):
@@ -240,18 +232,8 @@ def cmd_construct(args) -> int:
     if args.kind == "random":
         params += (args.rho.numerator, args.rho.denominator, args.seed)
     vmap, chunks, report = construction(args.kind, *params)
-    if args.out is None:
-        report = report(count_edges(len(vmap), chunks))
-    else:
-        out_path = Path(args.out)
-        report_path = out_path.with_suffix(".report.json")
-        try:
-            report = _write_instance(out_path, vmap, chunks, report)
-        except OSError as exc:
-            print(f"cannot write {out_path}: {exc.strerror}", file=sys.stderr)
-            return EXIT_USAGE
-
-    outputs = [] if args.out is None else [str(out_path), str(report_path)]
+    paths = [] if args.out is None else [Path(args.out)]
+    paths += [path.with_suffix(".report.json") for path in paths]
     manifest = _manifest(
         command="construct",
         parameters={
@@ -261,16 +243,22 @@ def cmd_construct(args) -> int:
             "out": args.out,
         },
         seed=args.seed,
-        outputs=outputs,
+        outputs=[str(path) for path in paths],
     )
-    payload = {"manifest": manifest, "report": report.to_json_dict()}
-    if args.out is not None:
-        try:
-            _write_replacing(report_path, [_json(payload, args.pretty), "\n"])
-        except OSError as exc:
-            print(f"cannot write {report_path}: {exc.strerror}", file=sys.stderr)
-            return EXIT_USAGE
-    print(_json(payload, args.pretty))
+
+    def text(m: int) -> str:
+        return _json({"manifest": manifest, "report": report(m).to_json_dict()}, args.pretty)
+
+    if not paths:
+        print(text(count_edges(len(vmap), chunks)))
+        return EXIT_OK
+    try:
+        body = _stage(*paths, vmap, chunks, text)
+    except OSError as exc:
+        # a failed rename names its target, any other failure the instance
+        print(f"cannot write {exc.filename2 or paths[0]}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    print(body)
     return EXIT_OK
 
 
@@ -286,7 +274,7 @@ def cmd_verify(args) -> int:
         inputs=[args.infile],
     )
     h = None  # read when the first detector is reached
-    for name in requested:
+    for name in dict.fromkeys(requested):
         try:
             if name == "linear":
                 found = file_linear_witness(args.infile)
@@ -294,12 +282,8 @@ def cmd_verify(args) -> int:
                 h, vmap = file_instance(args.infile)
         except (OSError, UnicodeDecodeError) as exc:
             return _cannot_read(args.infile, exc)
-        if name == "gridfree":
-            found = find_grid(h, vmap)
-        elif name == "prismfree":
-            found = find_prism(h)
-        elif name == "corefree9":
-            found = find_small_two_core(h, 9)
+        if name != "linear":
+            found = CHECKS[name](h, vmap, 9)
         if found is not None:
             if name == "linear":
                 pair, first, second = found
@@ -423,12 +407,7 @@ def cmd_detect(args) -> int:
         h, vmap = file_instance(args.infile)
     except (OSError, UnicodeDecodeError) as exc:
         return _cannot_read(args.infile, exc)
-    if args.find == "grid":
-        witness = find_grid(h, vmap)
-    elif args.find == "prism":
-        witness = find_prism(h)
-    else:
-        witness = find_small_two_core(h, args.max_vertices)
+    witness = SEARCHES[args.find][1](h, vmap, args.max_vertices)
     manifest = _manifest(
         command="detect",
         parameters={"find": args.find, "max_vertices": args.max_vertices},
@@ -491,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = sub.add_parser("detect", help="hunt one configuration in a .hg3 file")
     p_det.add_argument("--in", dest="infile", required=True)
-    p_det.add_argument("--find", choices=("grid", "prism", "core"), required=True)
+    p_det.add_argument("--find", choices=tuple(SEARCHES), required=True)
     p_det.add_argument("--max-vertices", type=_int_between(4, 10), default=9)
     p_det.set_defaults(func=cmd_detect)
 

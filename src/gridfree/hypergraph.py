@@ -10,42 +10,11 @@ lexicographically with no duplicates, and isolated vertices are first-class
     n m
     a b c        (m lines, each ascending, list sorted, trailing newline)
 
-Streams of edges travel as column chunks (firsts, seconds, thirds), and
-one check, _canonical_chunk, holds each chunk to these rules row by row:
-a row is a run of one first vertex, and only a row that repeats a second
-vertex compares (second, third) pairs.  The constructor checks its own
-edges with one walk, _check_edges, which names the first offender; a
-chunk that _canonical_chunk refuses goes to the same walk for its
-message.  One formatter writes edge lines from a table of id strings, so
-each id is converted once: encode runs it over a hypergraph's edges a
-chunk at a time, and write_edges over a construction's column chunks
-into a file, without any Hypergraph3.  One reader, _read, takes the text
-of decode and decode_with_provenance, or a file for file_linear_witness
-and file_instance, a chunk of whole lines at a time.  A body chunk is in
-encode's exact form when deleting its digits leaves two spaces and a
-newline per line and it splits into three tokens per line; its tokens
-are looked up in one table of ids shared across chunks, and only a token
-missing there is parsed, so each distinct id has one int.  Only a chunk
-that this or the canonical check refuses goes to the line checker, which
-reads lenient lines and names the first offending one.  _instance builds
-a Hypergraph3 from the edges the reader has checked, without the
-constructor's walk.  Linearity (every vertex pair in at most one edge)
-is checked in O(m) by one owner-list walk over edges in canonical order,
-_repeats: a pair is owned by its smaller vertex, whose list is complete,
-checked and freed when that vertex's run of edges ends, and only the
-partners an owner lists twice are kept.  The partners waiting for their
-owner's run are packed in arrays whose unsigned typecode is the
-narrowest that holds n - 1.
-is_linear, linear_witness and file_linear_witness all run it; the two
-witness functions then, only when it found a repeat, scan the edges once
-more in index order for the first pair seen twice.
-Hypergraphs are one tuple per edge with no reference cycles, so the CLI
-runs each command with the cyclic garbage collector paused and reference
-counting frees them.  Densities are exact rationals.
-Provenance is plain integers: each vertex's origin and its point (x, y)
-as residues in [0, p).  The reader keeps the comment lines unparsed, and
-_vertex_map parses and checks them once the body is read, so a body fault
-is reported ahead of a provenance fault.
+The parts: Hypergraph3 and its queries (is_linear, linear_witness,
+density, degrees); VertexMap, the provenance; encode and encode_head;
+write_edges and count_edges over a construction's column chunks
+(firsts, seconds, thirds) of edges; and one reader, _read, behind
+decode, decode_with_provenance, file_linear_witness and file_instance.
 """
 
 from __future__ import annotations

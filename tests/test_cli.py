@@ -2,10 +2,12 @@
 
 import gc
 import json
+import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -391,6 +393,22 @@ def test_failed_report_write_leaves_no_partial_files(tmp_path):
     assert list((tmp_path / "base5.hg3").iterdir()) == []
 
 
+def test_out_name_whose_report_fills_name_max(tmp_path):
+    # the temporaries beside --out are named by the process id alone, so
+    # any name whose report sibling fits the file system is written
+    stem = "x" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".report.json"))
+    out, report = f"{stem}.hg3", f"{stem}.report.json"
+    proc = run(("construct", "base", "--p", "7", "--out", out), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert_clean_stderr(proc)
+    assert (tmp_path / out).read_text() == (GOLDEN / "base7.hg3").read_text()
+    golden = (GOLDEN / "base7.report.json").read_text()
+    assert proc.stdout == golden.replace("base7.report.json", report).replace("base7.hg3", out)
+    assert (tmp_path / report).read_text() == proc.stdout
+    assert json.loads(proc.stdout)["manifest"]["outputs"] == [out, report]
+    assert sorted(path.name for path in tmp_path.iterdir()) == [out, report]
+
+
 def test_failed_out_write_is_not_a_read_error(tmp_path):
     proc = run(("construct", "base", "--p", "5", "--out", "nodir/base5.hg3"), tmp_path)
     assert proc.returncode == 2
@@ -721,6 +739,9 @@ def test_file_commands_keep_the_exit_code_contract(tmp_path, monkeypatch, comman
 # empty, the cwd, not UTF-8, cut mid-line, and inside a missing directory
 PATHS = ["base5.hg3", "base7.hg3", "missing.hg3", "adir", "empty.hg3", ".", "latin1.hg3",
          "truncated.hg3", "nodir/x.hg3"]
+# the longest --out whose report sibling fits the file system's NAME_MAX
+NAME_MAX = os.pathconf(tempfile.gettempdir(), "PC_NAME_MAX")
+LONG_OUT = "x" * (NAME_MAX - len(".report.json")) + ".hg3"
 FILE_ARGV = {
     # the drawn kind goes in after the command name
     "construct": st.tuples(st.sampled_from(["base", "qr", "random"]), _with_flags(
@@ -730,7 +751,8 @@ FILE_ARGV = {
         rho=st.sampled_from([None, *(text for text, _ in RHO_ACCEPTED), "3/2", "1/0", "x",
                              "-1/2"]),
         seed=st.sampled_from([None, "0", "1", "-1", "x"]),
-        out=st.sampled_from([None, *PATHS, "out.hg3", "adir/out.hg3", "out.report.json"]),
+        out=st.sampled_from([None, *PATHS, "out.hg3", "adir/out.hg3", "out.report.json",
+                             LONG_OUT]),
     )).map(lambda t: [t[1][0], t[0], *t[1][1:]]),
     "verify": _with_flags("verify", **{
         "in": st.sampled_from([None, *PATHS]),
@@ -758,9 +780,6 @@ def test_file_commands_keep_the_exit_code_contract_on_any_flags(command, data):
     values and every path case, in a fresh directory: the exit code
     contract holds, and the directory ends up holding only what it held
     plus, after a construct --out that exits 0, the instance and its report."""
-    import os
-    import tempfile
-
     from gridfree import decode
 
     argv = data.draw(FILE_ARGV[command])

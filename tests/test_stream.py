@@ -461,6 +461,49 @@ def test_refused_provenance_is_read_once(tmp_path, monkeypatch):
         assert len(calls) == 1, argv
 
 
+def test_repeated_checks_read_the_file_once_each(tmp_path, monkeypatch):
+    # verify runs each distinct check once, in the order first asked, and
+    # still lists the checks as they were asked
+    h, vmap, _ = build_base(7)
+    path = tmp_path / "base7.hg3"
+    path.write_text(encode(h, vmap))
+    real, calls = hypergraph._read, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hypergraph, "_read", counted)
+    checks = ["linear", "gridfree", "linear", "gridfree"]
+    code, out, err, instances = main(["verify", "--checks", ",".join(checks), "--in", str(path)])
+    assert (code, err, instances, len(calls)) == (0, "<timing>", 1, 2)
+    manifest = {"command": "verify", "parameters": {"checks": checks}, "seed": None,
+                "version": __version__, "inputs": [str(path)], "outputs": []}
+    assert out == json.dumps({"manifest": manifest, "ok": True, "checks": checks},
+                             separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("find,check", [("grid", "gridfree"), ("prism", "prismfree"),
+                                        ("core", "corefree9")])
+def test_detect_and_verify_report_one_search(find, check, tmp_path):
+    # detect --find and verify's check of the same search give one witness
+    rng = random.Random(26)
+    hosts = [encode(h, vmap) for p in (7, 13, 23)
+             for h, vmap, _ in (build_base(p), build_qr(p), build_random(p, 1, 2, p))]
+    hosts += [encode(oracles.plant_grid(rng)), encode(oracles.plant_prism(rng))]
+    found = 0
+    for i, text in enumerate(hosts):
+        path = tmp_path / f"h{i}.hg3"
+        path.write_text(text)
+        detected = main(["detect", "--find", find, "--max-vertices", "9", "--in", str(path)])
+        verified = main(["verify", "--checks", check, "--in", str(path)])
+        witness = json.loads(detected[1])["witness"]
+        assert detected[0] == 0 and verified[0] == (0 if witness is None else 1)
+        assert json.loads(verified[1]).get("witness") == witness
+        found += witness is not None
+    assert 0 < found < len(hosts)
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
