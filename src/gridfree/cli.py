@@ -8,7 +8,8 @@ timing goes to stderr, never into the reports.  Exit codes: 0 success,
 Each command runs with the cyclic garbage collector paused.
 
 `construct --out` stages the instance and its report beside the output,
-then renames them into place, so no output is left half-written.
+then renames them into place, so no output is left half-written; a target
+that is a directory or whose name is too long is refused before any write.
 `verify` runs the requested checks in order and reads the hypergraph only
 at its first detector check, so a failed linear check builds none.  A
 file whose provenance comments are malformed is searched with no vertex
@@ -21,6 +22,7 @@ import fractions, so only `lemma` and `construct random` load it.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -162,6 +164,18 @@ def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> int:
     return EXIT_USAGE
 
 
+def _refusal(path: Path) -> int:
+    """The errno that will stop a rename onto path, or 0: a name past its
+    directory's NAME_MAX, or a directory there.  A missing directory is left
+    to the write."""
+    try:
+        if len(os.fsencode(path.name)) > os.pathconf(path.parent, "PC_NAME_MAX"):
+            return errno.ENAMETOOLONG
+    except OSError:
+        return 0
+    return errno.EISDIR if os.path.isdir(path) and not os.path.islink(path) else 0
+
+
 def _stage(out: Path, report: Path, vmap, chunks, text) -> str:
     """Write the .hg3 file of a construction's edge chunks to out and the
     report text(m) on its edge count m to report; return that text.
@@ -228,12 +242,17 @@ def cmd_construct(args) -> int:
         print(f"--out {args.out!r}: the path names no file", file=sys.stderr)
         return EXIT_USAGE
 
+    paths = [] if args.out is None else [Path(args.out)]
+    paths += [path.with_suffix(".report.json") for path in paths]
+    for path in paths:
+        if refused := _refusal(path):
+            print(f"cannot write {path}: {os.strerror(refused)}", file=sys.stderr)
+            return EXIT_USAGE
+
     params = (args.p,)
     if args.kind == "random":
         params += (args.rho.numerator, args.rho.denominator, args.seed)
     vmap, chunks, report = construction(args.kind, *params)
-    paths = [] if args.out is None else [Path(args.out)]
-    paths += [path.with_suffix(".report.json") for path in paths]
     manifest = _manifest(
         command="construct",
         parameters={
@@ -273,23 +292,19 @@ def cmd_verify(args) -> int:
         parameters={"checks": requested},
         inputs=[args.infile],
     )
-    h = None  # read when the first detector is reached
+    instance = None  # (h, vmap), read when the first detector is reached
     for name in dict.fromkeys(requested):
         try:
             if name == "linear":
                 found = file_linear_witness(args.infile)
-            elif h is None:
-                h, vmap = file_instance(args.infile)
+                witness = found and {"pair": list(found[0]), "edges": list(found[1:])}
+            else:
+                instance = instance or file_instance(args.infile)
+                found = CHECKS[name](*instance, 9)
+                witness = found and found.to_json_dict()
         except (OSError, UnicodeDecodeError) as exc:
             return _cannot_read(args.infile, exc)
-        if name != "linear":
-            found = CHECKS[name](h, vmap, 9)
-        if found is not None:
-            if name == "linear":
-                pair, first, second = found
-                witness = {"pair": list(pair), "edges": [first, second]}
-            else:
-                witness = found.to_json_dict()
+        if witness is not None:
             print(_json(
                 {"manifest": manifest, "ok": False, "failed": name, "witness": witness},
                 args.pretty,

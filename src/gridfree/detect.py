@@ -13,10 +13,10 @@
 Grid and prism are the only (9,6) configurations: six edges on nine
 vertices, every covered vertex of degree 2, any two edges sharing at most
 one vertex.  Their line graphs are the two cubic simple graphs on six
-nodes, K3,3 and the triangular prism.  Both finders run one enumerator
-that closes each configuration from its least edge through vertex-pair
-lookups, about m * d^2 of them for m edges of degree at most d on a
-linear host.
+nodes, K3,3 and the triangular prism.  Both finders run one enumerator:
+from its least edge and two legs, it closes each configuration by
+crossing two vertex pairs, about m * d^2 pair lookups for m edges of
+degree at most d on a linear host.
 
 find_grid first tries the certificate of _certificate.py, which proves a
 builder's host grid-free from its vertex map in one pass over the edges;
@@ -131,20 +131,21 @@ def _least_configuration(h: Hypergraph3, kind: str) -> tuple | None:
 
     Anchors e = (a, b, c) go in ascending edge index, and only configurations
     whose least edge is e count.  Each vertex v of e then lies in exactly one
-    later configuration edge, a leg meeting e only at v.
+    later configuration edge, a leg (j, u1, u2) meeting e only at v.  Both
+    kinds close through crossings: for each matching of {q1, q2} to (p1, p2),
+    the later edges through both matched pairs, with their third vertices.
 
-    * grid: the legs at a and b are disjoint columns.  The two other rows
-      each hold a non-anchor vertex of both, and the third column joins c
-      to the rows' third vertices.
-    * prism: the legs at x and y meet at w, so e lies in a triangle.  The
-      edge g through the outer vertex of the x-leg, the edge through g and
-      the outer vertex of the y-leg, and the z-leg close the other one.
+    * grid: the legs at a and b are disjoint columns.  Crossing their outer
+      pairs gives the two other rows; the third column joins their third
+      vertices to c.
+    * prism: the legs at x and y meet at w, so e lies in a triangle.  Its
+      outer vertices, crossed with the z-leg's outer pair, give the other
+      triangle's last two edges, whose third vertices coincide.
 
     The pair map holds several edges per pair, so non-linear hosts are
     searched too, and every candidate is re-checked in full.  The least key
-    at the first anchor that has one is the least key overall: (rows, cols)
-    with the anchor's side as rows for a grid, the sorted six edge indices
-    for a prism.
+    at the first anchor with one is the least overall: (rows, cols), the
+    anchor's side as rows, for a grid; the sorted edge indices for a prism.
     """
     h = _covered(h)
     edges = h.edges
@@ -162,39 +163,37 @@ def _least_configuration(h: Hypergraph3, kind: str) -> tuple | None:
             if j > i:
                 yield j, sum(edges[j]) - u - v
 
+    def crossings(p1: int, p2: int, q1: int, q2: int, i: int):
+        for r1, r2 in ((q1, q2), (q2, q1)):
+            for j1, t1 in through(p1, r1, i):
+                for j2, t2 in through(p2, r2, i):
+                    yield j1, t1, j2, t2
+
     for i, e in enumerate(edges):
-        legs = {v: [(j, tuple(u for u in edges[j] if u != v)) for j in incident[v]
+        legs = {v: [(j, *(u for u in edges[j] if u != v)) for j in incident[v]
                     if j > i and len(set(e).intersection(edges[j])) == 1] for v in e}
         found = []
         a, b, c = e
         if kind == "grid":
-            for fa, (u1, u2) in legs[a]:
-                for fb, (v1, v2) in legs[b]:
+            for fa, u1, u2 in legs[a]:
+                for fb, v1, v2 in legs[b]:
                     if u1 in (v1, v2) or u2 in (v1, v2):
                         continue
-                    for (p, q), (s, t) in (((u1, v1), (u2, v2)), ((u1, v2), (u2, v1))):
-                        for r2, w2 in through(p, q, i):
-                            for r3, w3 in through(s, t, i):
-                                for fc, x in through(w2, w3, i):
-                                    idx = (i, r2, r3, fa, fb, fc)
-                                    if x == c and _is_nine_six(edges, idx):
-                                        found.append((tuple(sorted(idx[:3])),
-                                                      tuple(sorted(idx[3:]))))
+                    for r2, w2, r3, w3 in crossings(u1, u2, v1, v2, i):
+                        for fc, x in through(w2, w3, i):
+                            idx = (i, r2, r3, fa, fb, fc)
+                            if x == c and _is_nine_six(edges, idx):
+                                found.append((tuple(sorted(idx[:3])), tuple(sorted(idx[3:]))))
         else:
             for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-                for fx, (u1, u2) in legs[x]:
+                for fx, u1, u2 in legs[x]:
                     for w, outer in ((u1, u2), (u2, u1)):
                         for fy, y_outer in through(w, y, i):
-                            for g in incident[outer]:
-                                if g <= i or g == fx:
-                                    continue
-                                s1, s2 = (u for u in edges[g] if u != outer)
-                                for s, t in ((s1, s2), (s2, s1)):
-                                    for gy, z2 in through(t, y_outer, i):
-                                        for fz, zz in through(s, z2, i):
-                                            idx = (i, fx, fy, g, gy, fz)
-                                            if zz == z and _is_nine_six(edges, idx):
-                                                found.append(tuple(sorted(idx)))
+                            for fz, s1, s2 in legs[z]:
+                                for g, t, gy, t2 in crossings(outer, y_outer, s1, s2, i):
+                                    idx = (i, fx, fy, fz, g, gy)
+                                    if t == t2 and _is_nine_six(edges, idx):
+                                        found.append(tuple(sorted(idx)))
         if found:
             return min(found)
     return None

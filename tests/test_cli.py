@@ -372,16 +372,16 @@ def test_report_named_out_is_rejected_before_building(tmp_path):
 
 
 def test_failed_report_write_leaves_no_partial_files(tmp_path):
-    # an old file at the .hg3 name is replaced whole; a report name held by a
-    # directory fails the second write, which leaves no temporary file behind
+    # a report name held by a directory is refused before anything is
+    # written, so the old file at the .hg3 name stays as it was
     (tmp_path / "base5.hg3").write_text("junk\n" * 1000)
     (tmp_path / "base5.report.json").mkdir()
     proc = run(("construct", "base", "--p", "5", "--out", "base5.hg3"), tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("cannot write base5.report.json"), proc.stderr
+    assert proc.stderr.startswith("cannot write base5.report.json: Is a directory"), proc.stderr
     assert_clean_stderr(proc)
-    assert (tmp_path / "base5.hg3").read_text() == (GOLDEN / "base5.hg3").read_text()
+    assert (tmp_path / "base5.hg3").read_text() == "junk\n" * 1000
     assert sorted(p.name for p in tmp_path.iterdir()) == ["base5.hg3", "base5.report.json"]
     (tmp_path / "base5.report.json").rmdir()
     (tmp_path / "base5.hg3").unlink()
@@ -391,6 +391,18 @@ def test_failed_report_write_leaves_no_partial_files(tmp_path):
     assert proc.stderr.startswith("cannot write base5.hg3"), proc.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["base5.hg3"]
     assert list((tmp_path / "base5.hg3").iterdir()) == []
+
+
+def test_link_to_a_directory_at_the_report_name_is_replaced(tmp_path):
+    # a rename replaces a symbolic link without following it, so a link to a
+    # directory is no reason to refuse the report name
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "base5.report.json").symlink_to("adir")
+    proc = run(("construct", "base", "--p", "5", "--out", "base5.hg3"), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert not (tmp_path / "base5.report.json").is_symlink()
+    assert (tmp_path / "base5.report.json").read_text() == proc.stdout
+    assert list((tmp_path / "adir").iterdir()) == []
 
 
 def test_out_name_whose_report_fills_name_max(tmp_path):
@@ -407,6 +419,20 @@ def test_out_name_whose_report_fills_name_max(tmp_path):
     assert (tmp_path / report).read_text() == proc.stdout
     assert json.loads(proc.stdout)["manifest"]["outputs"] == [out, report]
     assert sorted(path.name for path in tmp_path.iterdir()) == [out, report]
+
+
+def test_out_name_whose_report_is_past_name_max_writes_nothing(tmp_path):
+    # refused before the build: the old file at the --out name stays as it was
+    stem = "x" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".report.json") + 1)
+    (tmp_path / f"{stem}.hg3").write_text("old\n")
+    proc = run(("construct", "base", "--p", "7", "--out", f"{stem}.hg3"), tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"cannot write {stem}.report.json: File name too long"), \
+        proc.stderr
+    assert_clean_stderr(proc)
+    assert [path.name for path in tmp_path.iterdir()] == [f"{stem}.hg3"]
+    assert (tmp_path / f"{stem}.hg3").read_text() == "old\n"
 
 
 def test_failed_out_write_is_not_a_read_error(tmp_path):
@@ -739,9 +765,13 @@ def test_file_commands_keep_the_exit_code_contract(tmp_path, monkeypatch, comman
 # empty, the cwd, not UTF-8, cut mid-line, and inside a missing directory
 PATHS = ["base5.hg3", "base7.hg3", "missing.hg3", "adir", "empty.hg3", ".", "latin1.hg3",
          "truncated.hg3", "nodir/x.hg3"]
-# the longest --out whose report sibling fits the file system's NAME_MAX
+# the longest --out whose report sibling fits the file system's NAME_MAX,
+# the shortest and the longest whose report sibling does not, and an --out
+# whose report name is held by a directory
 NAME_MAX = os.pathconf(tempfile.gettempdir(), "PC_NAME_MAX")
 LONG_OUT = "x" * (NAME_MAX - len(".report.json")) + ".hg3"
+TOO_LONG_OUTS = ["y" * (NAME_MAX - len(".report.json") + 1) + ".hg3",
+                 "z" * (NAME_MAX - len(".hg3")) + ".hg3"]
 FILE_ARGV = {
     # the drawn kind goes in after the command name
     "construct": st.tuples(st.sampled_from(["base", "qr", "random"]), _with_flags(
@@ -752,7 +782,7 @@ FILE_ARGV = {
                              "-1/2"]),
         seed=st.sampled_from([None, "0", "1", "-1", "x"]),
         out=st.sampled_from([None, *PATHS, "out.hg3", "adir/out.hg3", "out.report.json",
-                             LONG_OUT]),
+                             LONG_OUT, *TOO_LONG_OUTS, "held.hg3"]),
     )).map(lambda t: [t[1][0], t[0], *t[1][1:]]),
     "verify": _with_flags("verify", **{
         "in": st.sampled_from([None, *PATHS]),
@@ -793,6 +823,9 @@ def test_file_commands_keep_the_exit_code_contract_on_any_flags(command, data):
         (root / "empty.hg3").write_text("")
         (root / "latin1.hg3").write_bytes("# café\n".encode("latin-1") + golden.encode())
         (root / "truncated.hg3").write_text(golden[:len(golden) // 2])
+        (root / "held.hg3").write_bytes((GOLDEN / "qr5.hg3").read_bytes())
+        (root / "held.report.json").mkdir()
+        (root / "held.report.json" / "kept").write_text("")
         before = _tree(root)
         os.chdir(root)
         try:

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +143,54 @@ def test_planted_prisms_are_found():
         w = find_prism(h)
         assert w is not None, i
         w.validate(h, 9)
+
+
+# Labels for the six vertices off the least edge of PRISM_EDGES and
+# GRID_EDGES: in order, reversed, and with two swapped, so that each
+# crossing closes through either matching.  Vertex 3 is left for a stray.
+OUTER_LABELS = [(4, 5, 6, 7, 8, 9), (9, 8, 7, 6, 5, 4), (7, 5, 6, 4, 8, 9)]
+
+
+def _with_strays(planted):
+    """The host of the planted edges, then, for each vertex pair of each
+    planted edge, the non-linear host with one stray edge through that pair
+    and vertex 3; each with the planted edges' indices."""
+    for stray in [()] + [((u, v, 3),) for e in planted for u, v in combinations(e, 2)]:
+        h = Hypergraph3.from_edges(10, [*planted, *stray])
+        assert is_linear(h) == (not stray)
+        yield h, [h.edges.index(e) for e in planted]
+
+
+@pytest.mark.parametrize("outer", OUTER_LABELS)
+@pytest.mark.parametrize("rung", range(3))
+def test_prism_closes_on_each_triangle_pair_of_the_least_edge(rung, outer):
+    # PRISM_EDGES' least edge (0, 1, 2) meets the other triangle at vertex 0,
+    # and its triangle pair is {1, 2}; the labels put that vertex at
+    # position rung of the least edge, and the triangle on the other two
+    labels = [rung, *(v for v in range(3) if v != rung), *outer]
+    planted = [tuple(sorted(labels[v] for v in e)) for e in PRISM_EDGES]
+    assert planted[0] == (0, 1, 2) and rung in planted[1]
+    for h, idx in _with_strays(planted):
+        assert find_prism(h).edges == tuple(sorted(idx)), h.edges
+        assert find_grid(h) is None, h.edges
+
+
+@pytest.mark.parametrize("outer", OUTER_LABELS)
+@pytest.mark.parametrize("anchored", ["row", "col"])
+def test_grid_closes_with_either_side_as_rows(anchored, outer):
+    # the labels make GRID_EDGES' row (0, 1, 2), or its col (0, 3, 6), the
+    # least edge (0, 1, 2)
+    o = outer
+    labels = {"row": (0, 1, 2, *o), "col": (0, o[0], o[1], 1, o[2], o[3], 2, o[4], o[5])}
+    rows, cols = [[tuple(sorted(labels[anchored][v] for v in GRID_EDGES[i])) for i in side]
+                  for side in ((0, 4, 5), (1, 2, 3))]
+    assert (0, 1, 2) in {"row": rows, "col": cols}[anchored]
+    for h, idx in _with_strays(rows + cols):
+        sides = tuple(sorted(idx[:3])), tuple(sorted(idx[3:]))
+        w = find_grid(h)
+        assert (w.rows, w.cols) == (sides if anchored == "row" else sides[::-1]), h.edges
+        w.validate(h)
+        assert find_prism(h) is None, h.edges
 
 
 def test_two_core_examples():
