@@ -182,13 +182,16 @@ def _stage(out: Path, report: Path, vmap, chunks, text) -> str:
 
     The header counts the edges, so the edge lines are spooled first.  Each
     file is written in full under a temporary name beside out, then renamed
-    into place, the instance first.  The names hold only the process id, so
-    they fit wherever out and report fit.
+    into place, the instance first.  The names hold the process id and a
+    random tag per run, so a temporary left by a killed run under a reused
+    pid is neither met nor removed (a peer may own it).  They are short and
+    do not grow with out, so they fit wherever out and report fit.
     """
     staged = {}
+    tag = f".gridfree-{os.getpid()}-{os.urandom(4).hex()}"
 
     def create(suffix):
-        path = out.with_name(f".gridfree-{os.getpid()}.{suffix}")
+        path = out.with_name(f"{tag}.{suffix}")
         fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
         staged[suffix] = path
         return open(fd, "w+", encoding="utf-8")

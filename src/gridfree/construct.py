@@ -15,8 +15,8 @@ V1 = {(x, x^2)} and V2 = {(x, x^2 + 1)}:
 The third point, when two candidates exist, is always the one with the
 smaller x coordinate.  The secant of V1 through its points at a and
 a + d meets V2 at a + lo and a + hi, offsets that depend on d alone, so
-every builder reads one table keyed on d (_secant_offsets): p
-character/root lookups instead of p^2/2.  qr reads it from its squares,
+every builder reads one table keyed on d (_secant_offsets): p lookups
+of d^2 - 4's least root instead of p^2/2.  qr reads it from its squares,
 since each V2 pair lies on the secant (or, for d = 0, the tangent)
 through the square it picks.  One row generator (_secant_rows, or
 _square_rows for qr) yields the edges in canonical order, one row of
@@ -35,7 +35,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from math import gcd
 
-from .ffield import check_prime, chi_table, legendre, min_sqrt_table
+from .ffield import check_prime, legendre, min_sqrt_table
 from .hypergraph import Hypergraph3, VertexInfo, VertexMap
 from .record import Record
 from .rng import bernoulli_threshold, splitmix64_stream
@@ -125,8 +125,8 @@ def _check_seed(seed: int) -> None:
 
 
 def _secant_offsets(pv: int) -> list[tuple[int, int, int]]:
-    """The one sweep table: (d, lo, hi) for each d in 0..p-1 with
-    chi(d^2 - 4) >= 0, ascending in d.
+    """The one sweep table: (d, lo, hi) for each d in 0..p-1 whose d^2 - 4
+    has a root in min_sqrt_table (chi(d^2 - 4) >= 0), ascending in d.
 
     The secant of V1 through its points at a and a + d (for d = 0, the
     tangent at a) meets V2 where x^2 - (2a + d)x + a(a + d) + 1 = 0, with
@@ -134,14 +134,12 @@ def _secant_offsets(pv: int) -> list[tuple[int, int, int]]:
     hi = (d + r)/2 for the least square root r, lo == hi when the line is
     tangent to V2.  The d = 0 row exists when p = 1 (mod 4).
     """
-    chi = chi_table(pv)
     root = min_sqrt_table(pv)
     inv2 = (pv + 1) // 2
     table = []
     for d in range(pv):
-        disc = (d * d - 4) % pv
-        if chi[disc] >= 0:
-            r = root[disc]
+        r = root[(d * d - 4) % pv]
+        if r is not None:
             table.append((d, (d - r) * inv2 % pv, (d + r) * inv2 % pv))
     return table
 

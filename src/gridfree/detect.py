@@ -35,7 +35,7 @@ file's header declares.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, compress
 
 from .hypergraph import Hypergraph3, VertexMap
 from .record import Record
@@ -77,10 +77,8 @@ class GridWitness(Record):
             for c in cols:
                 if len(r & c) != 1:
                     raise ValueError("every row must meet every col exactly once")
-        cover = set().union(*rows)
-        if cover != set().union(*cols) or len(cover) != 9:
-            raise ValueError("rows and cols must cover the same nine vertices")
-        if tuple(sorted(cover)) != self.vertices:
+        # disjoint rows cover nine vertices, and a col meeting each once lies inside them
+        if tuple(sorted(set().union(*rows))) != self.vertices:
             raise ValueError("vertex list does not match the covered set")
 
 
@@ -115,7 +113,8 @@ def _covered(h: Hypergraph3) -> Hypergraph3:
     """h on the vertices its edges cover, relabelled by ascending id.
 
     The relabelling is increasing, so every edge keeps its index and its
-    vertex order, and a search on the result finds the same edge indices.
+    vertex order (the edges stay canonical and are not checked again), and
+    a search on the result finds the same edge indices.
     Per-vertex tables and bit masks built on it scale with the edges, not
     with the vertex count a header declares.
     """
@@ -123,7 +122,8 @@ def _covered(h: Hypergraph3) -> Hypergraph3:
     if len(covered) == h.n:
         return h
     rank = {v: i for i, v in enumerate(covered)}
-    return Hypergraph3(len(covered), [(rank[a], rank[b], rank[c]) for a, b, c in h.edges])
+    edges = tuple([(rank[a], rank[b], rank[c]) for a, b, c in h.edges])
+    return Hypergraph3._checked(len(covered), edges)
 
 
 def _least_configuration(h: Hypergraph3, kind: str) -> tuple | None:
@@ -249,8 +249,9 @@ def _core_witness(h: Hypergraph3, edge_idx: tuple[int, ...]) -> CoreWitness:
 
 
 def two_core(h: Hypergraph3) -> Hypergraph3:
-    """Iteratively peel vertices of degree <= 1; the surviving vertices are
-    relabelled by ascending original id, so the result is a standalone
+    """Iteratively peel vertices of degree <= 1, then relabel the surviving
+    edges through _covered: a survivor has degree >= 2, so the survivors
+    are exactly the vertices those edges cover.  The result is a standalone
     hypergraph of minimum degree >= 2 (possibly with zero vertices).
     Peeling is confluent, so the removal order cannot matter."""
     h = _covered(h)  # isolated vertices are peeled anyway
@@ -271,15 +272,7 @@ def two_core(h: Hypergraph3) -> Hypergraph3:
                 deg[u] -= 1
                 if deg[u] == 1:
                     stack.append(u)
-    kept = [v for v in range(h.n) if deg[v] >= 2]
-    relabel = {v: i for i, v in enumerate(kept)}
-    # increasing relabelling of edges kept in order: already canonical
-    edges = [
-        (relabel[a], relabel[b], relabel[c])
-        for ei, (a, b, c) in enumerate(h.edges)
-        if alive[ei]
-    ]
-    return Hypergraph3(len(kept), edges)
+    return _covered(Hypergraph3._checked(h.n, tuple(compress(h.edges, alive))))
 
 
 def find_small_two_core(h: Hypergraph3, max_vertices: int = 9) -> CoreWitness | None:

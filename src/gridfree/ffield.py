@@ -2,8 +2,9 @@
 
 One prime check (check_prime), the quadratic character (Legendre symbol)
 via Euler's criterion, the least modular square root via Tonelli-Shanks,
-and O(p) lookup tables of both for the sweep loops.  A residue is an int;
-callers reduce mod p.
+and one O(p) pass over the squares for the sweep loops: min_sqrt_table
+holds each residue's least root or None, and chi_table reads the
+character off it.  A residue is an int; callers reduce mod p.
 """
 
 from __future__ import annotations
@@ -111,21 +112,16 @@ def _min_sqrt(a: int, p: int) -> int | None:
 
 
 def chi_table(p: int) -> list[int]:
-    """Quadratic-character lookup table for every residue mod p.
-
-    One O(p) pass over the squares; used by the sweep loops where a pow()
-    per query would dominate.  chi_table(p)[a] == legendre(a, p).
-    """
-    t = [-1] * p
-    t[0] = 0
-    for x in range(1, p):
-        t[x * x % p] = 1
-    return t
+    """Quadratic-character lookup table for every residue mod p, read off
+    min_sqrt_table: a non-residue (None) is -1, zero (root 0) is 0, every
+    other square is +1.  chi_table(p)[a] == legendre(a, p)."""
+    return [-1 if r is None else 1 if r else 0 for r in min_sqrt_table(p)]
 
 
 def min_sqrt_table(p: int) -> list[int | None]:
     """Least-square-root lookup table: entry a is min{x : x*x == a mod p},
-    or None for non-residues.  Companion of chi_table for sweep loops."""
+    or None for non-residues.  The one O(p) pass over the squares, for the
+    sweep loops where a pow() per query would dominate."""
     t: list[int | None] = [None] * p
     for x in range(p - 1, -1, -1):
         t[x * x % p] = x

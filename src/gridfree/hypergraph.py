@@ -301,19 +301,13 @@ def encode(h: Hypergraph3, vertex_map: VertexMap | None = None) -> str:
     """Serialize to the text format; bit-stable for equal inputs.
 
     With a vertex map, provenance comments precede the header (see
-    encode_head).  Edge lines take each id's text from a table with at
-    most 3m entries: a list over 0..(largest id on an edge) when that id is
-    below 3m, as in builder output, else a dict over the covered ids.
-    Isolated vertices cost nothing however large n is.  Edge lines are
-    formatted _CHUNK_EDGES at a time, so the only strings as long as the
-    body are the chunks and the result.
+    encode_head).  Edge lines take each id's text from one dict over the
+    covered ids, at most 3m entries, so isolated vertices cost nothing
+    however large n is.  Edge lines are formatted _CHUNK_EDGES at a time,
+    so the only strings as long as the body are the chunks and the result.
     """
     edges = h.edges
-    top = max(map(itemgetter(2), edges), default=-1)
-    if top < 3 * len(edges):
-        name = list(map(str, range(top + 1)))
-    else:
-        name = {v: str(v) for v in set(chain.from_iterable(edges))}
+    name = {v: str(v) for v in set(chain.from_iterable(edges))}
     chunks = [encode_head(h.n, len(edges), vertex_map)]
     for i in range(0, len(edges), _CHUNK_EDGES):
         chunks.append(_edge_text(name, edges[i:i + _CHUNK_EDGES]))

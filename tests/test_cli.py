@@ -435,6 +435,25 @@ def test_out_name_whose_report_is_past_name_max_writes_nothing(tmp_path):
     assert (tmp_path / f"{stem}.hg3").read_text() == "old\n"
 
 
+def test_temporaries_left_by_a_killed_run_are_neither_met_nor_removed(tmp_path, monkeypatch,
+                                                                       capsys):
+    # a killed run leaves its temporaries behind; a later run in this
+    # directory whose process reuses the pid still writes, and leaves them
+    # alone, since a peer sharing the directory may own them
+    from gridfree import cli
+
+    monkeypatch.chdir(tmp_path)
+    stale = {f".gridfree-{os.getpid()}.{suffix}": f"stale {suffix}\n"
+             for suffix in ("edges", "hg3", "json")}
+    for name, text in stale.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main(["construct", "base", "--p", "7", "--out", "base7.hg3"]) == 0
+    report = (GOLDEN / "base7.report.json").read_text()
+    assert capsys.readouterr().out == report
+    assert {path.name: path.read_text() for path in tmp_path.iterdir()} == {
+        **stale, "base7.hg3": (GOLDEN / "base7.hg3").read_text(), "base7.report.json": report}
+
+
 def test_failed_out_write_is_not_a_read_error(tmp_path):
     proc = run(("construct", "base", "--p", "5", "--out", "nodir/base5.hg3"), tmp_path)
     assert proc.returncode == 2
@@ -802,17 +821,13 @@ def _tree(root: Path) -> dict:
     return {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
 
 
-@pytest.mark.parametrize("command", FILE_ARGV)
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_file_commands_keep_the_exit_code_contract_on_any_flags(command, data):
-    """construct, verify and detect on valid, boundary and invalid flag
-    values and every path case, in a fresh directory: the exit code
+def _assert_contract_in_a_fresh_tree(argv) -> int:
+    """Run argv in a fresh directory holding every path case: the exit code
     contract holds, and the directory ends up holding only what it held
-    plus, after a construct --out that exits 0, the instance and its report."""
+    plus, after a construct --out that exits 0, the instance and its report.
+    Returns the exit code."""
     from gridfree import decode
 
-    argv = data.draw(FILE_ARGV[command])
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -842,3 +857,23 @@ def test_file_commands_keep_the_exit_code_contract_on_any_flags(command, data):
         assert json.loads(after[report])["manifest"]["outputs"] == [out, report]
     assert set(after) == set(before) | written, argv
     assert all(after[name] == body for name, body in before.items() if name not in written), argv
+    return code
+
+
+@pytest.mark.parametrize("command", FILE_ARGV)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_file_commands_keep_the_exit_code_contract_on_any_flags(command, data):
+    """construct, verify and detect on valid, boundary and invalid flag
+    values and every path case (see _assert_contract_in_a_fresh_tree)."""
+    _assert_contract_in_a_fresh_tree(data.draw(FILE_ARGV[command]))
+
+
+@pytest.mark.parametrize("out", ["adir", ".", "nodir/x.hg3", "out.report.json",
+                                 *TOO_LONG_OUTS, "held.hg3"],
+                         ids=lambda out: out if len(out) < 20 else f"{len(out)}-chars")
+def test_refused_out_targets_keep_the_tree(out):
+    """Each --out candidate that cannot become a file, with construct flags
+    that are otherwise valid, so the run gets as far as it can: exit 2 and
+    the directory as it was."""
+    assert _assert_contract_in_a_fresh_tree(["construct", "base", "--p", "7", "--out", out]) == 2

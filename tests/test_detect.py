@@ -278,6 +278,18 @@ def test_witness_validate_rejects_tampering():
     bad = GridWitness(rows=w.rows, cols=(1, 2, 4), vertices=w.vertices)
     with pytest.raises(ValueError):
         bad.validate(g)
+    # six pairwise disjoint edges: rows and cols that never meet
+    apart = Hypergraph3(18, tuple((i, i + 1, i + 2) for i in range(0, 18, 3)))
+    for host, tampered, message in (
+        (g, GridWitness(rows=(0, 1, 2), cols=(3, 4, 5), vertices=w.vertices),
+         "rows and cols must each be pairwise disjoint"),
+        (apart, GridWitness(rows=(0, 1, 2), cols=(3, 4, 5), vertices=tuple(range(9))),
+         "every row must meet every col exactly once"),
+        (g, GridWitness(rows=w.rows, cols=w.cols, vertices=tuple(range(1, 10))),
+         "vertex list does not match the covered set"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            tampered.validate(host)
     pr = PRISM
     c = find_prism(pr)
     with pytest.raises(ValueError):
@@ -285,6 +297,16 @@ def test_witness_validate_rejects_tampering():
                     degrees=c.degrees).validate(pr, 9)
     with pytest.raises(ValueError):
         c.validate(pr, max_vertices=8)
+    for tampered, message in (
+        (CoreWitness(edges=c.edges, vertices=c.vertices[1:], degrees=c.degrees[1:]),
+         "vertex list does not match the covered set"),
+        (CoreWitness(edges=c.edges, vertices=c.vertices, degrees=(3,) + c.degrees[1:]),
+         "recorded degrees are wrong"),
+        (CoreWitness(edges=(0,), vertices=(0, 1, 2), degrees=(1, 1, 1)),
+         "a covered vertex has degree < 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            tampered.validate(pr, 9)
 
 
 def test_witness_json_shapes():

@@ -48,6 +48,9 @@ def test_constructor_validates_edges(base1009):
     for edge in ((0, 0.5, 1), (0, 1, 2.0), (True, 2, 3)):  # ids must be ints
         with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} ")):
             Hypergraph3(4, (edge,))
+    for edge in ((0, 1), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} is not a triple")):
+            Hypergraph3(4, (edge,))
     assert Hypergraph3(0, ()).m == 0
     # mutations past the first 4,096 edges of base p = 1009
     h, _, _ = base1009
@@ -72,6 +75,10 @@ def test_from_edges_canonicalizes_but_rejects_duplicates():
     assert h.edges == ((0, 1, 2), (0, 3, 4))
     with pytest.raises(ValueError):
         Hypergraph3.from_edges(5, [(2, 1, 0), (0, 1, 2)])
+    for edge in ((0, 0, 1), (0, 1), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"edge {edge!r} must have three distinct vertices")):
+            Hypergraph3.from_edges(5, [edge])
 
 
 def test_is_linear_matches_pair_oracle():
@@ -679,6 +686,12 @@ def test_provenance_reconstruction_errors():
     with pytest.raises(FormatError) as exc:
         decode_with_provenance("# built by hand\n# modulus 9\n# vertex 0 V1 0 0\n1 0\n")
     assert exc.value.line == 2 and "not an odd prime" in str(exc.value)
+    with pytest.raises(FormatError) as exc:
+        decode_with_provenance("# built by hand\n# modulus 7 11\n# vertex 0 V1 0 0\n1 0\n")
+    assert exc.value.line == 2 and "malformed modulus comment" in str(exc.value)
+    with pytest.raises(FormatError) as exc:
+        decode_with_provenance(head + "# vertex 3 V1 1 1\n" + tail)
+    assert exc.value.line == 3 and "vertex comment id 3 out of range" in str(exc.value)
 
 
 def test_provenance_modulus_must_be_decidably_prime():
@@ -704,3 +717,5 @@ def test_vertex_info_validation():
     assert len(vm) == 2
     assert vm[0] is info
     assert vm.modulus == 7
+    with pytest.raises(ValueError, match="vertex map covers 2 vertices, hypergraph has 3"):
+        encode(Hypergraph3(3, ((0, 1, 2),)), vm)
