@@ -4,8 +4,10 @@ Subcommands: construct, verify, census, lemma, pascal, detect.  Every JSON
 report embeds a manifest (command, parameters, seed, version, inputs,
 outputs) so identical invocations produce byte-identical output; wall-clock
 timing goes to stderr, never into the reports.  Exit codes: 0 success,
-1 a contracted identity or requested check failed, 2 usage or parse error.
-Each command runs with the cyclic garbage collector paused.
+1 a contracted identity or requested check failed, 2 usage, parse or
+output error.  The commands print only their results and raise on a
+failure; main alone turns a failure into one stderr line and its exit
+code.  Each command runs with the cyclic garbage collector paused.
 
 `construct --out` stages the instance and its report beside the output,
 then renames them into place, so no output is left half-written; a target
@@ -156,12 +158,15 @@ def _int_between(minimum: int, maximum: int | None = None, budget: int | None = 
 _seed = _int_between(0, MASK64)
 
 
-def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> int:
-    """Report on stderr why the file at path cannot be read; the usage
-    exit code."""
+class UsageError(Exception):
+    """A refused invocation or an unreadable input: main prints the
+    message as it is and exits with the usage code."""
+
+
+def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> UsageError:
+    """The UsageError saying why the file at path cannot be read."""
     why = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror
-    print(f"cannot read {path}: {why}", file=sys.stderr)
-    return EXIT_USAGE
+    return UsageError(f"cannot read {path}: {why}")
 
 
 def _refusal(path: Path) -> int:
@@ -232,25 +237,19 @@ def _int_range(minimum: int, budget: int):
 def cmd_construct(args) -> int:
     if args.kind == "random":
         if args.rho is None or args.seed is None:
-            print("construct random needs --rho and --seed", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("construct random needs --rho and --seed")
     elif args.rho is not None or args.seed is not None:
-        print(f"construct {args.kind} takes no --rho/--seed", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"construct {args.kind} takes no --rho/--seed")
     if args.out is not None and args.out.endswith(".report.json"):
-        print(f"--out {args.out}: names ending in .report.json are kept for the report",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--out {args.out}: names ending in .report.json are kept for the report")
     if args.out is not None and Path(args.out).name in ("", ".."):
-        print(f"--out {args.out!r}: the path names no file", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--out {args.out!r}: the path names no file")
 
     paths = [] if args.out is None else [Path(args.out)]
     paths += [path.with_suffix(".report.json") for path in paths]
     for path in paths:
         if refused := _refusal(path):
-            print(f"cannot write {path}: {os.strerror(refused)}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"cannot write {path}: {os.strerror(refused)}")
 
     params = (args.p,)
     if args.kind == "random":
@@ -278,8 +277,7 @@ def cmd_construct(args) -> int:
         body = _stage(*paths, vmap, chunks, text)
     except OSError as exc:
         # a failed rename names its target, any other failure the instance
-        print(f"cannot write {exc.filename2 or paths[0]}: {exc.strerror}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"cannot write {exc.filename2 or paths[0]}: {exc.strerror}") from None
     print(body)
     return EXIT_OK
 
@@ -288,8 +286,7 @@ def cmd_verify(args) -> int:
     requested = list(CHECK_NAMES) if args.checks is None else args.checks.split(",")
     for name in requested:
         if name not in CHECK_NAMES:
-            print(f"unknown check {name!r}; pick from {', '.join(CHECK_NAMES)}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"unknown check {name!r}; pick from {', '.join(CHECK_NAMES)}")
     manifest = _manifest(
         command="verify",
         parameters={"checks": requested},
@@ -306,7 +303,7 @@ def cmd_verify(args) -> int:
                 found = CHECKS[name](*instance, 9)
                 witness = found and found.to_json_dict()
         except (OSError, UnicodeDecodeError) as exc:
-            return _cannot_read(args.infile, exc)
+            raise _cannot_read(args.infile, exc) from None
         if witness is not None:
             print(_json(
                 {"manifest": manifest, "ok": False, "failed": name, "witness": witness},
@@ -330,16 +327,12 @@ def cmd_census(args) -> int:
     for p in primes:
         gauss = gauss_sum_check(p)
         if gauss != -1:
-            print(f"gauss sum identity failed at p={p}: {gauss}", file=sys.stderr)
-            return EXIT_VIOLATION
+            raise ArithmeticError(f"gauss sum identity failed at p={p}: {gauss}")
         delta = delta_sum_check(p)
         if delta != -(p - 1):
-            print(f"delta sum identity failed at p={p}: {delta}", file=sys.stderr)
-            return EXIT_VIOLATION
-        rec = reciprocity_check(p)
-        if not rec.consistent:
-            print(f"reciprocity failed at p={p}", file=sys.stderr)
-            return EXIT_VIOLATION
+            raise ArithmeticError(f"delta sum identity failed at p={p}: {delta}")
+        if not reciprocity_check(p).consistent:
+            raise ArithmeticError(f"reciprocity failed at p={p}")
         print(_json(secant_census(p).to_json_dict(), args.pretty))
     return EXIT_OK
 
@@ -364,23 +357,19 @@ def cmd_lemma(args) -> int:
         bound = lemma_bound(N)
         delta, delta_ok = delta_check(N)
         if not delta_ok:
-            print(f"ceiling gap bound failed at N={N}", file=sys.stderr)
-            return EXIT_VIOLATION
+            raise ArithmeticError(f"ceiling gap bound failed at N={N}")
         fam = _lemma_family(N, args.seed)
         h_size = len(fam) if fam is not None else None
         best_cov = best_set = None
         if fam is not None:
             if expected_coverage(N, k, fam) != expectation:
-                print(f"expectation formula failed at N={N}", file=sys.stderr)
-                return EXIT_VIOLATION
+                raise ArithmeticError(f"expectation formula failed at N={N}")
             if N <= 12 and exhaustive_average(N, k, fam) != expectation:
-                print(f"exhaustive average disagrees at N={N}", file=sys.stderr)
-                return EXIT_VIOLATION
+                raise ArithmeticError(f"exhaustive average disagrees at N={N}")
             if N <= EXHAUSTIVE_LIMIT:
                 best_set, best_cov = best_subset(N, k, fam)
                 if best_cov < bound:
-                    print(f"attained coverage below bound at N={N}", file=sys.stderr)
-                    return EXIT_VIOLATION
+                    raise ArithmeticError(f"attained coverage below bound at N={N}")
         record = {
             "N": N,
             "k": k,
@@ -424,7 +413,7 @@ def cmd_detect(args) -> int:
     try:
         h, vmap = file_instance(args.infile)
     except (OSError, UnicodeDecodeError) as exc:
-        return _cannot_read(args.infile, exc)
+        raise _cannot_read(args.infile, exc) from None
     witness = SEARCHES[args.find][1](h, vmap, args.max_vertices)
     manifest = _manifest(
         command="detect",
@@ -507,15 +496,24 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args)
+        print(end="", flush=True)  # a failed write raises here, not at exit; None stdout passes
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InvalidPrimeError as exc:
-        print(str(exc), file=sys.stderr)
+    except (UsageError, InvalidPrimeError) as exc:
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except OSError as exc:
+        # The commands report their reads and --out writes, so stdout failed:
+        # what it holds goes to os.devnull, leaving the exit flush nothing to raise.
+        print(f"cannot write stdout: {exc.strerror}", file=sys.stderr)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_USAGE
     finally:
         if collecting:
             gc.enable()

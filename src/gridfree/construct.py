@@ -22,21 +22,22 @@ through the square it picks.  One row generator (_secant_rows, or
 _square_rows for qr) yields the edges in canonical order, one row of
 plain int columns per first vertex, which construction() hands out as a
 stream: the `construct` command counts it or writes it straight to its
-`--out` file, and the build_* functions collect it into a Hypergraph3.
-Provenance is each vertex's origin and its point (x, x^2 + t) as
-residues mod p.  The geometry module recomputes the incidences one
-secant at a time and tests/oracles.py pair by pair, and the tests
-cross-check all three routes.
+`--out` file, and the build_* functions collect it into a Hypergraph3,
+each through one check, hypergraph._checked_chunks.  Provenance is each
+vertex's origin and its point (x, x^2 + t) as residues mod p.  The
+geometry module recomputes the incidences one secant at a time and
+tests/oracles.py pair by pair, and the tests cross-check all three routes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import chain
 from math import gcd
 
 from .ffield import check_prime, legendre, min_sqrt_table
-from .hypergraph import Hypergraph3, VertexInfo, VertexMap
+from .hypergraph import Hypergraph3, VertexInfo, VertexMap, _checked_chunks, _instance
 from .record import Record
 from .rng import bernoulli_threshold, splitmix64_stream
 
@@ -241,10 +242,7 @@ def construction(kind: str, p: int, rho_num: int | None = None, rho_den: int | N
 
 
 def _built(vmap: VertexMap, chunks, report) -> tuple[Hypergraph3, VertexMap, ConstructionReport]:
-    edges = []
-    for firsts, seconds, thirds in chunks:
-        edges += zip(firsts, seconds, thirds)
-    h = Hypergraph3(len(vmap), edges)
+    h = _instance(chain([len(vmap)], _checked_chunks(len(vmap), chunks)))
     return h, vmap, report(h.m)
 
 

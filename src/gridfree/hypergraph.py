@@ -13,8 +13,9 @@ lexicographically with no duplicates, and isolated vertices are first-class
 The parts: Hypergraph3 and its queries (is_linear, linear_witness,
 density, degrees); VertexMap, the provenance; encode and encode_head;
 write_edges and count_edges over a construction's column chunks
-(firsts, seconds, thirds) of edges; and one reader, _read, behind
-decode, decode_with_provenance, file_linear_witness and file_instance.
+(firsts, seconds, thirds) of edges; one reader, _read, behind decode,
+decode_with_provenance, file_linear_witness and file_instance; and one
+collector, _instance, of _read's stream or of checked construction chunks.
 """
 
 from __future__ import annotations
@@ -410,7 +411,7 @@ def _header(line: str, lineno: int) -> tuple[int, int]:
 
 def decode(text: str) -> Hypergraph3:
     """Parse the text format; raises FormatError with a line number."""
-    return _instance(_text_chunks(text))
+    return _instance(_read(_text_chunks(text)))
 
 
 def decode_with_provenance(text: str) -> tuple[Hypergraph3, VertexMap | None]:
@@ -419,7 +420,7 @@ def decode_with_provenance(text: str) -> tuple[Hypergraph3, VertexMap | None]:
     The comments are checked after the body, so a text that decode refuses
     raises decode's FormatError."""
     comments = []
-    h = _instance(_text_chunks(text), comments)
+    h = _instance(_read(_text_chunks(text), comments))
     return h, _vertex_map(h.n, comments)
 
 
@@ -571,12 +572,12 @@ def _text_chunks(text: str):
         pos = end
 
 
-def _instance(pieces, comments: list | None = None) -> Hypergraph3:
-    """The hypergraph of the .hg3 text that pieces yields (see _read),
-    whose checks already hold every edge to the constructor's rules."""
-    reader = _read(pieces, comments)
-    n = next(reader)
-    return Hypergraph3._checked(n, tuple(chain.from_iterable(zip(*columns) for columns in reader)))
+def _instance(stream) -> Hypergraph3:
+    """The hypergraph of a stream as _read yields it: the vertex count n,
+    then column chunks (firsts, seconds, thirds) of edges already held to
+    the constructor's rules, by _read's checks or by _checked_chunks."""
+    n = next(stream)
+    return Hypergraph3._checked(n, tuple(chain.from_iterable(zip(*columns) for columns in stream)))
 
 
 def _vertex_map(n: int, comments) -> VertexMap | None:
@@ -651,7 +652,7 @@ def file_instance(path) -> tuple[Hypergraph3, VertexMap | None]:
     reads it: decode's hypergraph or FormatError, and the vertex map of its
     provenance comments, None when there is none or _vertex_map refuses it."""
     comments = []
-    h = _instance(_file_pieces(path), comments)
+    h = _instance(_read(_file_pieces(path), comments))
     try:
         return h, _vertex_map(h.n, comments)
     except FormatError:

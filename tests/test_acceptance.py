@@ -173,9 +173,9 @@ def test_c10_census_audit():
 
 def test_c11_detector_soundness_and_completeness():
     """find_grid agrees with the all-6-subsets oracle on 100 seeded
-    hypergraphs (m <= 25); peeling is order-independent and idempotent on
-    100 seeded instances; Pasch found at max_vertices=6; every 9-vertex
-    core witness has at least 6 edges."""
+    hypergraphs (m <= 25) and each grid it finds validates; peeling is
+    order-independent and idempotent on 100 seeded instances; Pasch found
+    at max_vertices=6; every 9-vertex core witness has at least 6 edges."""
     for i in range(100):
         rng = random.Random(1000 + i)
         if i % 2 == 0:
@@ -186,6 +186,8 @@ def test_c11_detector_soundness_and_completeness():
         got = find_grid(h)
         want = oracles.grid_all_six_subsets(h)
         assert (None if got is None else (got.rows, got.cols)) == want, i
+        if got is not None:
+            got.validate(h)
 
     for i in range(100):
         rng = random.Random(4000 + i)

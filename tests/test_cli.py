@@ -1,5 +1,6 @@
 """End-to-end command tests: golden bytes, exit codes, determinism."""
 
+import errno
 import gc
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -490,6 +492,127 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "construction", broken)
     with pytest.raises(ValueError, match="internal fault"):
         cli.main(["construct", "base", "--p", "5"])
+
+
+def _broken_at(real, at, value):
+    """real, except that it returns value when called with at first."""
+    return lambda first, *rest: value if first == at else real(first, *rest)
+
+
+# (argv, the check that cli binds, its broken stand-in, the message of the
+# identity it breaks, the golden stdout and how many of its lines come
+# before the failing p or N: the manifest and one record per p or N)
+IDENTITY_BREAKS = [
+    (["census", "--p", "5..13"], "gauss_sum_check", lambda real: _broken_at(real, 11, 0),
+     "gauss sum identity failed at p=11: 0", "census_5_13.jsonl", 3),
+    (["census", "--p", "5..13"], "delta_sum_check", lambda real: _broken_at(real, 7, 3),
+     "delta sum identity failed at p=7: 3", "census_5_13.jsonl", 2),
+    (["census", "--p", "5..13"], "reciprocity_check",
+     lambda real: _broken_at(real, 13, types.SimpleNamespace(consistent=False)),
+     "reciprocity failed at p=13", "census_5_13.jsonl", 4),
+    (["lemma", "--N", "2..8", "--seed", "5"], "delta_check",
+     lambda real: _broken_at(real, 3, (real(3)[0], False)),
+     "ceiling gap bound failed at N=3", "lemma_2_8.jsonl", 2),
+    (["lemma", "--N", "2..8", "--seed", "5"], "expected_coverage",
+     lambda real: lambda N, k, fam: real(N, k, fam) + (N == 5),
+     "expectation formula failed at N=5", "lemma_2_8.jsonl", 4),
+    (["lemma", "--N", "2..8", "--seed", "5"], "exhaustive_average",
+     lambda real: lambda N, k, fam: real(N, k, fam) - (N == 8),
+     "exhaustive average disagrees at N=8", "lemma_2_8.jsonl", 7),
+    (["lemma", "--N", "2..8", "--seed", "5"], "best_subset",
+     lambda real: lambda N, k, fam: (real(N, k, fam)[0], -1) if N == 4 else real(N, k, fam),
+     "attained coverage below bound at N=4", "lemma_2_8.jsonl", 3),
+]
+
+
+@pytest.mark.parametrize("argv,name,broken,message,golden,lines", IDENTITY_BREAKS,
+                         ids=[case[1] for case in IDENTITY_BREAKS])
+def test_a_broken_identity_exits_one_with_main_s_line(argv, name, broken, message, golden, lines,
+                                                      monkeypatch, capsys):
+    from gridfree import cli
+
+    monkeypatch.setattr(cli, name, broken(getattr(cli, name)))
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines(keepends=True) == \
+        (GOLDEN / golden).read_text().splitlines(keepends=True)[:lines]
+    err = err.splitlines()
+    assert err[0] == f"internal invariant violated: {message}" and len(err) == 2
+    assert TIMING.match(err[1])
+
+
+def test_a_hexagon_off_its_pascal_line_exits_one_and_is_listed(monkeypatch, capsys):
+    from gridfree import cli
+
+    real, samples = cli.pascal_collinear, []
+
+    def once(xs, p):
+        samples.append(list(xs))
+        return len(samples) != 3 and real(xs, p)
+
+    monkeypatch.setattr(cli, "pascal_collinear", once)
+    assert cli.main(["pascal", "--p", "13", "--samples", "25", "--seed", "7"]) == 1
+    out, err = capsys.readouterr()
+    want = json.loads((GOLDEN / "pascal_13.json").read_text())
+    want.update(all_collinear=False, failures=[{"sample": 2, "xs": samples[2]}])
+    assert out == json.dumps(want, separators=(",", ":")) + "\n"
+    assert TIMING.match(err.strip())
+
+
+def test_an_invalid_prime_from_a_command_is_a_usage_error(monkeypatch, capsys):
+    from gridfree import InvalidPrimeError, cli
+
+    def refused(kind, p):
+        raise InvalidPrimeError("p = 7 refused")
+
+    monkeypatch.setattr(cli, "construction", refused)
+    assert cli.main(["construct", "base", "--p", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[0] == "p = 7 refused"
+
+
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize("args", [
+    ("construct", "base", "--p", "7"),
+    ("verify", "--in", "base7.hg3"),
+    ("census", "--p", "5..499"),  # 12.5 KB: a write fails before the command ends
+])
+def test_unwritable_stdout_is_one_error_line(args, sink, tmp_path):
+    from gridfree import build_base, encode
+
+    (tmp_path / "base7.hg3").write_text(encode(*build_base(7)[:2]))
+    argv = [sys.executable, "-m", "gridfree", *args]
+    if sink == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, cwd=tmp_path, env=child_env(), stdout=full,
+                                  stderr=subprocess.PIPE, text=True)
+        why = os.strerror(errno.ENOSPC)
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(argv, cwd=tmp_path, env=child_env(), stdout=write,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        why = os.strerror(errno.EPIPE)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2, proc.stderr
+    assert lines[0] == f"cannot write stdout: {why}" and len(lines) == 2, proc.stderr
+    assert TIMING.match(lines[1])
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 through sh")
+def test_a_closed_stdout_descriptor_is_not_an_error():
+    # with fd 1 closed Python sets sys.stdout to None and print writes nothing
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "gridfree",
+                           "construct", "base", "--p", "7"],
+                          env=child_env(), stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert TIMING.match(proc.stderr.strip()), proc.stderr
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])

@@ -50,6 +50,27 @@ def test_base_small_instances_exactly():
     assert r7.density == Fraction(1, 14)
 
 
+def test_a_sweep_row_out_of_order_is_refused_as_construct_refuses_it(monkeypatch):
+    # the builders collect the sweep through the check that construct
+    # streams it through, so both raise the same message
+    from gridfree import cli, construct
+
+    real = construct._secant_rows
+
+    def swapped(*args):
+        rows = list(real(*args))
+        rows[1], rows[2] = rows[2], rows[1]
+        return iter(rows)
+
+    monkeypatch.setattr(construct, "_secant_rows", swapped)
+    with pytest.raises(ValueError) as built:
+        build_base(7)
+    with pytest.raises(ValueError) as streamed:
+        cli.main(["construct", "base", "--p", "7"])
+    assert str(built.value) == str(streamed.value) == \
+        "edge list not sorted or has duplicates at (1, 2, 11)"
+
+
 def test_base_edge_count_and_linearity_sweep():
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
         h, _, rep = build_base(p)

@@ -1,11 +1,11 @@
 import random
-import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import traced_peak
 from gridfree import (
     CoreWitness,
     GridWitness,
@@ -77,20 +77,6 @@ def test_pasch_is_the_smallest_linear_core():
     assert w.vertices == tuple(range(6))
     assert w.degrees == (2,) * 6
     w.validate(pa, 6)
-
-
-def test_grid_agrees_with_subset_oracle():
-    for i in range(30):
-        rng = random.Random(1000 + i)
-        if i % 2 == 0:
-            h = oracles.random_hypergraph(rng, rng.randint(9, 16), rng.randint(6, 25))
-        else:
-            h = oracles.plant_grid(rng, n_extra=rng.randint(3, 10), m_extra=rng.randint(0, 13))
-        got = find_grid(h)
-        want = oracles.grid_all_six_subsets(h)
-        assert (None if got is None else (got.rows, got.cols)) == want, i
-        if got is not None:
-            got.validate(h)
 
 
 def _differential_instances():
@@ -395,12 +381,7 @@ def test_default_verify_memory_ignores_the_header_vertex_count(tmp_path, capsys,
 
     path = tmp_path / "sparse.hg3"
     path.write_text(text)
-    tracemalloc.start()
-    try:
-        code = cli.main(["verify", "--in", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(cli.main, ["verify", "--in", str(path)])
     assert code == 0
     assert '"ok":true' in capsys.readouterr().out
     assert peak < 4 << 20, peak

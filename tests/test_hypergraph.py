@@ -1,12 +1,12 @@
 import random
 import re
-import tracemalloc
 from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from conftest import traced_peak
 from gridfree import hypergraph
 from gridfree import (
     FormatError,
@@ -25,12 +25,6 @@ from gridfree import (
     linear_witness,
 )
 from fractions import Fraction
-
-
-@pytest.fixture(scope="module")
-def base1009():
-    """build_base(1009): m = 254,268 edges, about 3.6 MB of edge body."""
-    return build_base(1009)
 
 
 def test_constructor_validates_edges(base1009):
@@ -209,7 +203,7 @@ def test_linear_witness_memory_with_a_repeat_past_the_first_chunk(base1009):
     a, b, c = h.edges[3 * h.m // 4]
     one = Hypergraph3.from_edges(h.n + 1, h.edges + ((a, c, h.n),))
     for bad in one, _planted_repeats(h, range(505, 1009)):
-        found, peak = _traced_peak(linear_witness, bad)
+        found, peak = traced_peak(linear_witness, bad)
         assert {"pair": list(found[0]), "edges": list(found[1:])} == \
             oracles.linear_witness_by_loop(bad)
         assert found[1] > hypergraph._CHUNK_EDGES
@@ -317,29 +311,18 @@ def test_planted_lines_past_the_first_chunk():
         assert exc.value.line == line and fragment in str(exc.value)
 
 
-def _traced_peak(fn, *args):
-    """fn(*args) and the peak of tracemalloc's traced memory during it."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 def test_codec_and_linearity_memory_at_p_1009(base1009):
     h, vmap, _ = base1009
-    text, peak = _traced_peak(encode, h, vmap)
+    text, peak = traced_peak(encode, h, vmap)
     assert peak <= 12 << 20, peak
-    decoded, peak = _traced_peak(decode, text)  # the result counts too
+    decoded, peak = traced_peak(decode, text)  # the result counts too
     assert decoded == h
     assert peak <= 32 << 20, peak
     del decoded
     # 0.60 MiB for base and 0.74 MiB for qr with packed waiting partners,
     # 1.37 and 1.83 MiB with a list slot per waiting partner
     for host in h, build_qr(1009)[0]:
-        linear, peak = _traced_peak(is_linear, host)
+        linear, peak = traced_peak(is_linear, host)
         assert linear
         assert peak <= 1 << 20, peak
 
@@ -349,7 +332,7 @@ def test_line_loop_memory_at_p_1009(base1009):
     # them, one chunk of lines at a time, without splitting the whole text
     h, _, _ = base1009
     text = encode(h).replace("\n", "\r\n")
-    decoded, peak = _traced_peak(decode, text)  # the result counts too
+    decoded, peak = traced_peak(decode, text)  # the result counts too
     assert decoded == h
     assert peak <= 44 << 20, peak  # 36.5 MiB; 53.3 MiB splitting the text
 
@@ -382,25 +365,13 @@ def test_encode_edge_cases_match_line_oracle():
 
 
 def test_encode_memory_ignores_vertices_above_the_edges():
-    h = Hypergraph3(10**7, ((0, 1, 2),))
-    tracemalloc.start()
-    try:
-        text = encode(h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(encode, Hypergraph3(10**7, ((0, 1, 2),)))
     assert text == "10000000 1\n0 1 2\n"
     assert peak < 1 << 20, peak
 
 
 def test_encode_memory_follows_the_covered_ids():
-    h = Hypergraph3(10**6, ((0, 1, 10**6 - 1),))
-    tracemalloc.start()
-    try:
-        text = encode(h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(encode, Hypergraph3(10**6, ((0, 1, 10**6 - 1),)))
     assert text == "1000000 1\n0 1 999999\n"
     assert peak < 1 << 20, peak
 

@@ -19,13 +19,13 @@ import io
 import json
 import random
 import re
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import traced_peak
 from gridfree import (
     FormatError,
     Hypergraph3,
@@ -504,16 +504,6 @@ def test_detect_and_verify_report_one_search(find, check, tmp_path):
     assert 0 < found < len(hosts)
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 # Traced peaks at p = 1009 (base m = 254,268), measured with Python 3.11:
 # streamed with --out, then as the whole-hypergraph route took them.
 # Counting the stream without --out peaks at 0.6, 0.5 and 0.5 MiB.  qr
@@ -529,7 +519,7 @@ CONSTRUCT_BUDGETS = [
 @pytest.mark.parametrize("kind,rho,mib", CONSTRUCT_BUDGETS)
 def test_construct_out_memory_at_p_1009(tmp_path, kind, rho, mib):
     argv = construct_argv(kind, 1009, rho, 3) + ["--out", str(tmp_path / "h.hg3")]
-    (code, _, _, _), peak = _traced_peak(main, argv)
+    (code, _, _, _), peak = traced_peak(main, argv)
     assert code == 0
     assert peak <= mib << 20, peak
 
@@ -537,14 +527,9 @@ def test_construct_out_memory_at_p_1009(tmp_path, kind, rho, mib):
 @pytest.mark.parametrize("kind,rho,mib", CONSTRUCT_BUDGETS)
 def test_construct_without_out_memory_at_p_1009(kind, rho, mib):
     # the report needs only the edge count: the stream is counted, not kept
-    (code, out, _, _), peak = _traced_peak(main, construct_argv(kind, 1009, rho, 3))
+    (code, out, _, _), peak = traced_peak(main, construct_argv(kind, 1009, rho, 3))
     assert code == 0 and json.loads(out)["report"]["m"] > 0
     assert peak <= mib << 20, peak
-
-
-@pytest.fixture(scope="module")
-def base1009():
-    return build_base(1009)
 
 
 # Traced peaks of the file stream with packed waiting partners, then with a
@@ -561,7 +546,7 @@ def test_verify_linear_memory_at_p_1009(tmp_path, base1009):
         else:
             path.write_text(encode(*build_random(1009, 1, 2, 3)[:2]))
         argv = ["verify", "--checks", "linear", "--in", str(path)]
-        (code, _, _, instances), peak = _traced_peak(main, argv)
+        (code, _, _, instances), peak = traced_peak(main, argv)
         assert (code, instances) == (0, 0), kind
         assert peak <= mib * 2**20, (kind, peak)
 
@@ -577,7 +562,7 @@ def test_verify_linear_lenient_line_memory_at_p_1009(tmp_path, base1009):
     path = tmp_path / "tab1009.hg3"
     path.write_text(text[:at] + f"{a}\t{b} {c}" + text[text.index("\n", at):])
     argv = ["verify", "--checks", "linear", "--in", str(path)]
-    (code, _, _, instances), peak = _traced_peak(main, argv)
+    (code, _, _, instances), peak = traced_peak(main, argv)
     assert (code, instances) == (0, 0)
     assert peak <= 8 << 20, peak  # 3.0 MiB; 39.9 MiB reading the file whole
 
@@ -592,7 +577,7 @@ def test_verify_linear_witness_memory_at_p_1009(tmp_path, base1009):
     path.write_text(encode(bad))
     for argv in (["verify", "--checks", "linear", "--in", str(path)],
                  ["verify", "--in", str(path)]):
-        (code, out, _, instances), peak = _traced_peak(main, argv)
+        (code, out, _, instances), peak = traced_peak(main, argv)
         assert (code, instances) == (1, 0)
         assert json.loads(out)["witness"] == oracles.linear_witness_by_loop(bad)
         # 1.5 MiB with --checks linear, 1.3 MiB by default; 2.2 and 2.1 MiB
@@ -610,6 +595,6 @@ def test_certificate_read_memory_at_p_1009(tmp_path, base1009):
     path = tmp_path / "base1009.hg3"
     path.write_text(encode(*base1009[:2]))
     for argv in (["verify", "--checks", "gridfree"], ["detect", "--find", "grid"]):
-        (code, out, _, instances), peak = _traced_peak(main, [*argv, "--in", str(path)])
+        (code, out, _, instances), peak = traced_peak(main, [*argv, "--in", str(path)])
         assert (code, instances) == (0, 1), argv
         assert peak <= 20.5 * 2**20, (argv, peak)
