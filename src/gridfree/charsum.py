@@ -37,6 +37,7 @@ __all__ = [
     "secant_census",
     "closed_form_N",
     "reciprocity_check",
+    "checked_census",
 ]
 
 
@@ -170,3 +171,18 @@ def reciprocity_check(p: int) -> ReciprocityResult:
     return ReciprocityResult(
         p=pv, chi2=chi2, chi_minus2=chi_m2, consistent=ok2 and okm2
     )
+
+
+def checked_census(p: int) -> SecantCensus:
+    """The `census` command's record: secant_census(p) once the Gauss sum
+    is -1, the delta sum -(p-1), and chi(+-2) agree with p mod 8.  A failed
+    identity raises ArithmeticError naming it."""
+    gauss = gauss_sum_check(p)
+    if gauss != -1:
+        raise ArithmeticError(f"gauss sum identity failed at p={p}: {gauss}")
+    delta = delta_sum_check(p)
+    if delta != -(p - 1):
+        raise ArithmeticError(f"delta sum identity failed at p={p}: {delta}")
+    if not reciprocity_check(p).consistent:
+        raise ArithmeticError(f"reciprocity failed at p={p}")
+    return secant_census(p)

@@ -17,8 +17,9 @@ at its first detector check, so a failed linear check builds none.  A
 file whose provenance comments are malformed is searched with no vertex
 map, as decode, which ignores comments, would read it.
 
-Only --rho's parser and the library functions that build a Fraction
-import fractions, so only `lemma` and `construct random` load it.
+`census` and `lemma` print the records that charsum and lemma build and
+check.  Only --rho's parser and the library functions that build a
+Fraction import fractions, so only `construct random` loads it.
 """
 
 from __future__ import annotations
@@ -30,12 +31,10 @@ import json
 import os
 import sys
 import time
-from itertools import combinations
-from math import comb
 from pathlib import Path
 
 from . import __version__
-from .charsum import delta_sum_check, gauss_sum_check, reciprocity_check, secant_census
+from .charsum import checked_census
 from .construct import construction
 from .detect import find_grid, find_prism, find_small_two_core
 from .ffield import InvalidPrimeError, check_prime, is_prime
@@ -48,15 +47,7 @@ from .hypergraph import (
     file_linear_witness,
     write_edges,
 )
-from .lemma import (
-    EXHAUSTIVE_LIMIT,
-    best_subset,
-    delta_check,
-    exhaustive_average,
-    expected_coverage,
-    half_family_expectation,
-    lemma_bound,
-)
+from .lemma import lemma_record
 from .rng import MASK64, sample_distinct, splitmix64_stream
 
 EXIT_OK = 0
@@ -325,26 +316,8 @@ def cmd_census(args) -> int:
     )
     print(_json({"manifest": manifest}, args.pretty))
     for p in primes:
-        gauss = gauss_sum_check(p)
-        if gauss != -1:
-            raise ArithmeticError(f"gauss sum identity failed at p={p}: {gauss}")
-        delta = delta_sum_check(p)
-        if delta != -(p - 1):
-            raise ArithmeticError(f"delta sum identity failed at p={p}: {delta}")
-        if not reciprocity_check(p).consistent:
-            raise ArithmeticError(f"reciprocity failed at p={p}")
-        print(_json(secant_census(p).to_json_dict(), args.pretty))
+        print(_json(checked_census(p).to_json_dict(), args.pretty))
     return EXIT_OK
-
-
-def _lemma_family(N: int, seed: int):
-    """Seeded exact-half pair family for N = 0, 1 (mod 4), else None."""
-    if N % 4 not in (0, 1):
-        return None
-    pairs = list(combinations(range(N), 2))
-    half = len(pairs) // 2
-    pick = sample_distinct(len(pairs), half, (seed * 1_000_003 + N) & MASK64)
-    return tuple(pairs[i] for i in sorted(pick))
 
 
 def cmd_lemma(args) -> int:
@@ -352,37 +325,7 @@ def cmd_lemma(args) -> int:
     manifest = _manifest(command="lemma", parameters={"N": f"{lo}..{hi}"}, seed=args.seed)
     print(_json({"manifest": manifest}, args.pretty))
     for N in range(lo, hi + 1):
-        k = N // 2
-        expectation = half_family_expectation(N)
-        bound = lemma_bound(N)
-        delta, delta_ok = delta_check(N)
-        if not delta_ok:
-            raise ArithmeticError(f"ceiling gap bound failed at N={N}")
-        fam = _lemma_family(N, args.seed)
-        h_size = len(fam) if fam is not None else None
-        best_cov = best_set = None
-        if fam is not None:
-            if expected_coverage(N, k, fam) != expectation:
-                raise ArithmeticError(f"expectation formula failed at N={N}")
-            if N <= 12 and exhaustive_average(N, k, fam) != expectation:
-                raise ArithmeticError(f"exhaustive average disagrees at N={N}")
-            if N <= EXHAUSTIVE_LIMIT:
-                best_set, best_cov = best_subset(N, k, fam)
-                if best_cov < bound:
-                    raise ArithmeticError(f"attained coverage below bound at N={N}")
-        record = {
-            "N": N,
-            "k": k,
-            "pair_count": comb(N, 2),
-            "h_size": h_size,
-            "expectation": str(expectation),
-            "bound": bound,
-            "delta": str(delta),
-            "delta_ok": delta_ok,
-            "best_coverage": best_cov,
-            "best_subset": list(best_set) if best_set is not None else None,
-        }
-        print(_json(record, args.pretty))
+        print(_json(lemma_record(N, args.seed), args.pretty))
     return EXIT_OK
 
 
@@ -494,32 +437,39 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     start = time.perf_counter()
+    message = None
     try:
         code = args.func(args)
         print(end="", flush=True)  # a failed write raises here, not at exit; None stdout passes
     except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"parse error: {exc}"
     except (UsageError, InvalidPrimeError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, str(exc)
     except ArithmeticError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        code, message = EXIT_VIOLATION, f"internal invariant violated: {exc}"
     except OSError as exc:
-        # The commands report their reads and --out writes, so stdout failed:
-        # what it holds goes to os.devnull, leaving the exit flush nothing to raise.
-        print(f"cannot write stdout: {exc.strerror}", file=sys.stderr)
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
-        return EXIT_USAGE
+        # The commands report their reads and --out writes, so stdout failed.
+        code, message = EXIT_USAGE, f"cannot write stdout: {exc.strerror}"
+        _drop(sys.stdout)
     finally:
         if collecting:
             gc.enable()
         elapsed = time.perf_counter() - start
-        print(f"gridfree: {elapsed:.3f}s elapsed", file=sys.stderr)
+        lines = [] if message is None else [message]
+        try:  # best-effort: a failed stderr write leaves the exit code the command's
+            print(*lines, f"gridfree: {elapsed:.3f}s elapsed", sep="\n", file=sys.stderr,
+                  flush=True)
+        except OSError:
+            _drop(sys.stderr)
     return code
+
+
+def _drop(stream) -> None:
+    """Point stream's descriptor at os.devnull, so that what it still buffers
+    leaves the interpreter's exit flush nothing to raise."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
 
 
 def entry() -> None:

@@ -499,39 +499,53 @@ def _broken_at(real, at, value):
     return lambda first, *rest: value if first == at else real(first, *rest)
 
 
-# (argv, the check that cli binds, its broken stand-in, the message of the
-# identity it breaks, the golden stdout and how many of its lines come
-# before the failing p or N: the manifest and one record per p or N)
+# (argv, the module and name of the check that census or lemma calls, its
+# broken stand-in, the message of the identity it breaks, the golden stdout
+# and how many of its lines come before the failing p or N: the manifest
+# and one record per p or N).  lemma's records call its integer cores; each
+# case's id names the Fraction function that states the same identity.
 IDENTITY_BREAKS = [
-    (["census", "--p", "5..13"], "gauss_sum_check", lambda real: _broken_at(real, 11, 0),
-     "gauss sum identity failed at p=11: 0", "census_5_13.jsonl", 3),
-    (["census", "--p", "5..13"], "delta_sum_check", lambda real: _broken_at(real, 7, 3),
-     "delta sum identity failed at p=7: 3", "census_5_13.jsonl", 2),
-    (["census", "--p", "5..13"], "reciprocity_check",
-     lambda real: _broken_at(real, 13, types.SimpleNamespace(consistent=False)),
-     "reciprocity failed at p=13", "census_5_13.jsonl", 4),
-    (["lemma", "--N", "2..8", "--seed", "5"], "delta_check",
-     lambda real: _broken_at(real, 3, (real(3)[0], False)),
-     "ceiling gap bound failed at N=3", "lemma_2_8.jsonl", 2),
-    (["lemma", "--N", "2..8", "--seed", "5"], "expected_coverage",
-     lambda real: lambda N, k, fam: real(N, k, fam) + (N == 5),
-     "expectation formula failed at N=5", "lemma_2_8.jsonl", 4),
-    (["lemma", "--N", "2..8", "--seed", "5"], "exhaustive_average",
-     lambda real: lambda N, k, fam: real(N, k, fam) - (N == 8),
-     "exhaustive average disagrees at N=8", "lemma_2_8.jsonl", 7),
-    (["lemma", "--N", "2..8", "--seed", "5"], "best_subset",
-     lambda real: lambda N, k, fam: (real(N, k, fam)[0], -1) if N == 4 else real(N, k, fam),
-     "attained coverage below bound at N=4", "lemma_2_8.jsonl", 3),
+    pytest.param(["census", "--p", "5..13"], "charsum", "gauss_sum_check",
+                 lambda real: _broken_at(real, 11, 0),
+                 "gauss sum identity failed at p=11: 0", "census_5_13.jsonl", 3,
+                 id="gauss_sum_check"),
+    pytest.param(["census", "--p", "5..13"], "charsum", "delta_sum_check",
+                 lambda real: _broken_at(real, 7, 3),
+                 "delta sum identity failed at p=7: 3", "census_5_13.jsonl", 2,
+                 id="delta_sum_check"),
+    pytest.param(["census", "--p", "5..13"], "charsum", "reciprocity_check",
+                 lambda real: _broken_at(real, 13, types.SimpleNamespace(consistent=False)),
+                 "reciprocity failed at p=13", "census_5_13.jsonl", 4,
+                 id="reciprocity_check"),
+    pytest.param(["lemma", "--N", "2..8", "--seed", "5"], "lemma", "_delta",
+                 lambda real: _broken_at(real, 3, (*real(3)[:2], False)),
+                 "ceiling gap bound failed at N=3", "lemma_2_8.jsonl", 2,
+                 id="delta_check"),
+    pytest.param(["lemma", "--N", "2..8", "--seed", "5"], "lemma", "_hits",
+                 lambda real: lambda N, k, size: real(N, k, size) + (N == 5),
+                 "expectation formula failed at N=5", "lemma_2_8.jsonl", 4,
+                 id="expected_coverage"),
+    pytest.param(["lemma", "--N", "2..8", "--seed", "5"], "lemma", "_exhaustive_hits",
+                 lambda real: lambda N, k, fam: real(N, k, fam) - (N == 8),
+                 "exhaustive average disagrees at N=8", "lemma_2_8.jsonl", 7,
+                 id="exhaustive_average"),
+    pytest.param(["lemma", "--N", "2..8", "--seed", "5"], "lemma", "best_subset",
+                 lambda real: lambda N, k, fam: (real(N, k, fam)[0], -1) if N == 4
+                 else real(N, k, fam),
+                 "attained coverage below bound at N=4", "lemma_2_8.jsonl", 3,
+                 id="best_subset"),
 ]
 
 
-@pytest.mark.parametrize("argv,name,broken,message,golden,lines", IDENTITY_BREAKS,
-                         ids=[case[1] for case in IDENTITY_BREAKS])
-def test_a_broken_identity_exits_one_with_main_s_line(argv, name, broken, message, golden, lines,
-                                                      monkeypatch, capsys):
+@pytest.mark.parametrize("argv,module,name,broken,message,golden,lines", IDENTITY_BREAKS)
+def test_a_broken_identity_exits_one_with_main_s_line(argv, module, name, broken, message,
+                                                      golden, lines, monkeypatch, capsys):
+    import importlib
+
     from gridfree import cli
 
-    monkeypatch.setattr(cli, name, broken(getattr(cli, name)))
+    module = importlib.import_module(f"gridfree.{module}")
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out.splitlines(keepends=True) == \
@@ -603,6 +617,26 @@ def test_unwritable_stdout_is_one_error_line(args, sink, tmp_path):
     assert lines[0] == f"cannot write stdout: {why}" and len(lines) == 2, proc.stderr
     assert TIMING.match(lines[1])
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args,code", [
+    (("census", "--p", "5..13"), 0),
+    (("verify", "--in", "missing.hg3"), 2),
+    (("verify", "--in", "base17.hg3"), 1),
+])
+def test_an_unwritable_stderr_keeps_the_command_s_exit_code(args, code, tmp_path):
+    # main's stderr lines are best-effort: neither their failure nor the
+    # exit flush of what they left buffered may change the exit or stdout
+    from gridfree import build_base, encode
+
+    (tmp_path / "base17.hg3").write_text(encode(*build_base(17)[:2]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "gridfree", *args], cwd=tmp_path,
+                              env=child_env(), stdout=subprocess.PIPE, stderr=full, text=True)
+    readable = run(args, tmp_path)
+    assert readable.returncode == proc.returncode == code
+    assert proc.stdout == readable.stdout
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 through sh")
@@ -713,8 +747,9 @@ def test_cli_import_loads_no_dataclasses_or_inspect(tmp_path):
     (["construct", "qr", "--p", "23"], False),
     (["census", "--p", "5..13"], False),
     (["pascal", "--p", "7", "--samples", "3"], False),
-    (["lemma", "--N", "2..4"], True),
+    (["lemma", "--N", "2..4"], False),
     (["construct", "random", "--p", "23", "--rho", "1/2", "--seed", "1"], True),
+    (["lemma", "--N", "2..16"], False),  # N <= 12 runs the exhaustive average
 ])
 def test_only_commands_that_build_a_rational_import_fractions(argv, rational, tmp_path):
     from gridfree import cli

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 
 import pytest
 
@@ -15,7 +15,7 @@ from gridfree import (
     half_family_expectation,
     lemma_bound,
 )
-from gridfree import cli
+from gridfree import lemma
 from gridfree.lemma import EXHAUSTIVE_LIMIT
 
 
@@ -106,7 +106,7 @@ def test_best_subset_matches_oracle_on_cli_families():
     checked = 0
     for n in range(2, EXHAUSTIVE_LIMIT + 1):
         for seed in range(5):
-            fam = cli._lemma_family(n, seed)
+            fam = lemma._lemma_family(n, seed)
             if fam is None:
                 continue
             subset, cov = best_subset(n, n // 2, fam)
@@ -212,5 +212,71 @@ def test_exhaustive_average_matches_direct_average():
                 assert exhaustive_average(n, k, fam) == \
                     oracles.average_coverage_direct(n, k, fam), (n, k, fam)
     for n in (4, 5, 8, 9, 12):
-        fam = cli._lemma_family(n, 3)
+        fam = lemma._lemma_family(n, 3)
         assert exhaustive_average(n, n // 2, fam) == half_family_expectation(n)
+
+
+RECORD_SEEDS = (0, 5, 2**64 - 1)
+
+
+def test_records_agree_with_the_fraction_api():
+    # lemma_record prints its integer cores' ratios; the Fraction API wraps
+    # the same cores, and the Fractions here are recomputed from the formulas
+    for seed in RECORD_SEEDS:
+        for n in range(2, 65):
+            record, k = lemma.lemma_record(n, seed), n // 2
+            e = Fraction(2 * k * n - k * k - k, 4)
+            delta = (-(-e.numerator // e.denominator) - e) / (n + k) ** 2
+            assert half_family_expectation(n) == e and delta_check(n) == \
+                (delta, delta <= Fraction(4, 9 * n * n))
+            assert record["expectation"] == str(half_family_expectation(n))
+            assert record["delta"] == str(delta_check(n)[0])
+            assert record["bound"] == ceil(half_family_expectation(n)) == lemma_bound(n)
+            assert record["delta_ok"] is delta_check(n)[1] is True
+            fam = lemma._lemma_family(n, seed)
+            assert record["h_size"] == (None if fam is None else len(fam))
+            if fam is not None:
+                assert expected_coverage(n, k, fam) == e
+                if n <= 12:
+                    assert exhaustive_average(n, k, fam) == e
+            if fam is not None and n <= EXHAUSTIVE_LIMIT:
+                subset, cov = best_subset(n, k, fam)
+                assert (record["best_subset"], record["best_coverage"]) == (list(subset), cov)
+            else:
+                assert record["best_subset"] is record["best_coverage"] is None
+
+
+def test_ratio_prints_as_a_fraction():
+    for a in range(-60, 61):
+        for b in range(1, 61):
+            assert lemma._ratio(a, b) == str(Fraction(a, b)), (a, b)
+
+
+# Each integer core broken as in test_cli's IDENTITY_BREAKS, at every N:
+# (its name, its broken stand-in, the identity's message and whether N
+# checks that identity for a family of the given size)
+CORE_BREAKS = [
+    ("_delta", lambda real: lambda n: (*real(n)[:2], False),
+     "ceiling gap bound failed", lambda n, fam: True),
+    ("_hits", lambda real: lambda n, k, size: real(n, k, size) + 1,
+     "expectation formula failed", lambda n, fam: fam),
+    ("_exhaustive_hits", lambda real: lambda n, k, fam: real(n, k, fam) - 1,
+     "exhaustive average disagrees", lambda n, fam: fam and n <= 12),
+    ("best_subset", lambda real: lambda n, k, fam: (real(n, k, fam)[0], -1),
+     "attained coverage below bound", lambda n, fam: fam and n <= EXHAUSTIVE_LIMIT),
+]
+
+
+@pytest.mark.parametrize("name,broken,message,checked", CORE_BREAKS,
+                         ids=[case[0] for case in CORE_BREAKS])
+def test_each_broken_core_fails_exactly_its_own_identity(name, broken, message, checked,
+                                                         monkeypatch):
+    monkeypatch.setattr(lemma, name, broken(getattr(lemma, name)))
+    failed = []
+    for n in range(2, 41):
+        try:
+            lemma.lemma_record(n, 5)
+        except ArithmeticError as exc:
+            assert str(exc) == f"{message} at N={n}"
+            failed.append(n)
+    assert failed == [n for n in range(2, 41) if checked(n, n % 4 in (0, 1))]
